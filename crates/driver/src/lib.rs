@@ -22,8 +22,8 @@
 //!   [`spillopt_core::run_suite`]'s borrowed-analysis inputs;
 //! * [`pool`] — the `std`-only work pool: persistent workers for
 //!   sessions ([`pool::Pool`]), scoped per-call scheduling for the
-//!   deprecated free functions, deterministic item-order results either
-//!   way;
+//!   stress, drift and fault fuzzers' case fan-out, deterministic
+//!   item-order results either way;
 //! * [`mod@bench`] / [`refimpl`] — the perf-trajectory harness: the frozen
 //!   pre-rewrite pipeline kept executable, timed against the current
 //!   one over a seeded stress corpus with byte-identical reports
@@ -46,10 +46,6 @@
 //!   as [`FunctionFault`] entries;
 //! * [`cli`] — the `spillopt` binary: `optimize`, `compare`, `report`,
 //!   `stress`, `bench`, `list-benches`, `list-targets`.
-//!
-//! The pre-session free functions (`optimize_module`,
-//! `optimize_module_for`, `cross_target_runs`) are kept as
-//! `#[deprecated]` shims over the same engine for one release.
 //!
 //! # Examples
 //!
@@ -114,8 +110,6 @@ pub mod stress;
 pub use bench::{run_bench, BenchConfig, BenchOutcome};
 pub use cache::AnalysisCache;
 pub use drift::{run_drift, DriftConfig, DriftFailure, DriftSummary, DEFAULT_DRIFT_STEPS};
-#[allow(deprecated)]
-pub use driver::{cross_target_runs, optimize_module, optimize_module_for};
 pub use driver::{
     DriverConfig, DriverError, FaultAction, FaultKind, FunctionFault, ModuleRun, ProfileSource,
     Strategy,

@@ -17,8 +17,8 @@
 //!   (per-register Chow fixpoints, hash-keyed hierarchical bookkeeping,
 //!   hash-map share/cost accounting, per-register validation).
 //!
-//! Its [`ModuleReport`] is byte-identical to
-//! [`crate::driver::optimize_module_for`]'s — the rewrite changed *how*
+//! Its [`ModuleReport`] is byte-identical to that of a
+//! [`crate::Session`] on the same target — the rewrite changed *how*
 //! the answers are computed, never the answers — which `spillopt bench`
 //! asserts on every run before it reports the wall-clock ratio. Keeping
 //! the baseline executable (instead of a number in a README) makes the
@@ -35,9 +35,9 @@ use spillopt_pst::Pst;
 use spillopt_regalloc::allocate_reference;
 use spillopt_targets::TargetSpec;
 
-/// As [`crate::driver::optimize_module_for`], running the frozen
-/// reference pipeline end to end (serial; the bench times both arms at
-/// the same thread count).
+/// Optimizes `module` for `spec` under `config`, running the frozen
+/// reference pipeline end to end (the bench times both arms at the same
+/// thread count).
 pub fn optimize_module_reference(
     module: &Module,
     spec: &TargetSpec,

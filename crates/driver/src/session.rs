@@ -1,12 +1,7 @@
-//! The session-based optimizer facade: [`OptimizerBuilder`] → [`Session`].
-//!
-//! Four PRs of growth left the public surface as a ladder of free
-//! functions — `optimize_module` / `optimize_module_for` /
-//! `cross_target_runs` here, `run_suite` × four variants in
-//! `spillopt-core` — where every new capability forced another variant
-//! and a sweep of call sites. This module collapses the ladder into the
-//! one shape every future subsystem (serving, sharding, incremental
-//! reoptimization) plugs into:
+//! The session-based optimizer facade: [`OptimizerBuilder`] → [`Session`],
+//! the workspace's one module-scale entry point. Every optimize method
+//! runs one batch body (`run_modules`), and every function goes through
+//! one cold pipeline body (`cold_pipeline`) behind the analysis arena.
 //!
 //! * [`OptimizerBuilder`] — declare *what* to optimize for: a target (a
 //!   preset [`Target`], a registered [`TargetSpec`] name, or all of
@@ -35,13 +30,13 @@ use crate::cache::AnalysisCache;
 use crate::driver::{
     DriverError, FaultAction, FaultKind, FunctionFault, ModuleRun, ProfileSource, Strategy,
 };
-use crate::pool::{payload_message, try_run_indexed, ItemPanic, Pool, PoolWorkerStats};
+use crate::pool::{payload_message, Pool, PoolWorkerStats};
 use crate::report::{CrossTargetReport, FunctionReport, ModuleReport, StrategyReport};
 use spillopt_core::{
     run_suite, run_suite_incremental, run_suite_memoized, run_technique, Placement, PlacementMemo,
     PlacementSuite, RefoldStats, SpillCostModel, SuiteError, SuiteInputs, SuiteOptions, Technique,
 };
-use spillopt_ir::{FuncId, Function, Module, Target};
+use spillopt_ir::{FuncId, Function, Module, Reg, Target};
 use spillopt_obs::fault::{BudgetScope, BudgetSpec};
 use spillopt_profile::{random_walk_profile, EdgeProfile, Machine, ProfileDelta};
 use spillopt_regalloc::allocate;
@@ -987,7 +982,7 @@ impl Session {
             costs: &st.costs,
             profile_source: source,
             techniques: self.techniques,
-            exec: Exec::Pool(&self.pool),
+            pool: &self.pool,
             arena: self.arena.as_ref(),
             observer,
             policy: self.failure_policy,
@@ -1148,71 +1143,7 @@ impl Session {
                     .to_string(),
             ));
         }
-        let engine = self.engine(st, observer);
-
-        // Stage 1 (serial): per-module training profiles.
-        let mut items: Vec<(usize, FuncId, Option<EdgeProfile>)> = Vec::new();
-        for (mi, module) in modules.iter().enumerate() {
-            let profiles = module_profiles(module, engine.target, engine.profile_source)?;
-            items.extend(module.func_ids().zip(profiles).map(|(fid, p)| (mi, fid, p)));
-        }
-        let coords: Vec<(usize, FuncId)> = items.iter().map(|(mi, fid, _)| (*mi, *fid)).collect();
-
-        // Stage 2 (parallel): every function of every module, one batch.
-        let outcomes = engine
-            .exec
-            .run(items, |_, (mi, fid, profile)| {
-                run_function(&modules[mi], fid, profile, &engine)
-            })
-            .map_err(|p| {
-                let (mi, fid) = coords[p.index];
-                DriverError::Panicked {
-                    unit: format!("{}::{}", modules[mi].name(), modules[mi].func(fid).name()),
-                    message: p.message(),
-                }
-            })?;
-
-        // Regroup per module, in input order.
-        type PerModule = (
-            Vec<FunctionReport>,
-            Vec<AllocatedFunction>,
-            Vec<FunctionFault>,
-        );
-        let mut per_module: Vec<PerModule> = (0..modules.len())
-            .map(|_| (Vec::new(), Vec::new(), Vec::new()))
-            .collect();
-        for ((mi, _), outcome) in coords.into_iter().zip(outcomes) {
-            let (report, allocated, fault) = match outcome {
-                Ok(o) => o,
-                // Contained failures name the function; batch callers
-                // get the module prefixed (matching the panic path).
-                Err(DriverError::Panicked { unit, message }) => {
-                    return Err(DriverError::Panicked {
-                        unit: format!("{}::{unit}", modules[mi].name()),
-                        message,
-                    })
-                }
-                Err(e) => return Err(e),
-            };
-            per_module[mi].0.push(report);
-            per_module[mi].1.push(allocated);
-            per_module[mi].2.extend(fault);
-        }
-        let mut runs = Vec::with_capacity(modules.len());
-        for (module, (reports, allocated, faults)) in modules.iter().zip(per_module) {
-            let run = ModuleRun::from_parts(
-                ModuleReport::new(
-                    module.name().to_string(),
-                    engine.target.name().to_string(),
-                    reports,
-                ),
-                allocated,
-                faults,
-            );
-            notify_module_done(&engine, &run.report)?;
-            runs.push(run);
-        }
-        Ok(runs)
+        run_modules(modules, &self.engine(st, observer))
     }
 
     /// Runs the whole pipeline across every session target and collects
@@ -1271,14 +1202,15 @@ impl Session {
             .run_batch(items, |_, st| {
                 let spec = st.spec.as_ref().expect("checked above");
                 let (module, profile) = load(spec)?;
+                // Serial within the worker: the target fan-out is the
+                // parallelism, and a one-thread pool runs inline.
+                let inline = Pool::new(1);
                 let engine = Engine {
                     target: &st.target,
                     costs: &st.costs,
                     profile_source: &profile,
                     techniques: self.techniques,
-                    // Serial within the worker: the target fan-out is
-                    // the parallelism.
-                    exec: Exec::Transient(1),
+                    pool: &inline,
                     arena: None,
                     observer,
                     policy: self.failure_policy,
@@ -1298,51 +1230,28 @@ impl Session {
     }
 }
 
-/// How a module run schedules its per-function work.
-pub(crate) enum Exec<'e> {
-    /// Scoped threads spawned for this call (`0` = auto, `1` = inline) —
-    /// the deprecated free functions' schedule.
-    Transient(usize),
-    /// The session's persistent pool.
-    Pool(&'e Pool),
+/// One module run's full configuration: the session's settings for one
+/// target, with the pool that schedules its per-function work.
+struct Engine<'e> {
+    target: &'e Target,
+    costs: &'e SpillCostModel,
+    profile_source: &'e ProfileSource,
+    techniques: TechniqueSet,
+    pool: &'e Pool,
+    arena: Option<&'e AnalysisArena>,
+    observer: Option<&'e dyn Observer>,
+    policy: FailurePolicy,
+    budget: Budget,
 }
 
-impl Exec<'_> {
-    fn run<I, T, F>(&self, items: Vec<I>, work: F) -> Result<Vec<T>, ItemPanic>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(usize, I) -> T + Sync,
-    {
-        match self {
-            Exec::Transient(threads) => try_run_indexed(items, *threads, work),
-            Exec::Pool(pool) => pool.run_batch(items, work),
-        }
-    }
-}
-
-/// One module run's full configuration — the session's and the
-/// deprecated free functions' shared engine. Everything downstream of
-/// this struct is identical on both paths, which is what keeps the
-/// facade byte-compatible with the entry points it replaces.
-pub(crate) struct Engine<'e> {
-    pub target: &'e Target,
-    pub costs: &'e SpillCostModel,
-    pub profile_source: &'e ProfileSource,
-    pub techniques: TechniqueSet,
-    pub exec: Exec<'e>,
-    pub arena: Option<&'e AnalysisArena>,
-    pub observer: Option<&'e dyn Observer>,
-    pub policy: FailurePolicy,
-    pub budget: Budget,
-}
-
-/// Stage 1 (serial): training profiles, if a workload is given.
+/// Stage 1 (serial): the module's shape checks, then training profiles,
+/// if a workload is given.
 fn module_profiles(
     module: &Module,
     target: &Target,
     source: &ProfileSource,
 ) -> Result<Vec<Option<EdgeProfile>>, DriverError> {
+    check_registers(module, target)?;
     match source {
         ProfileSource::Workload(runs) => {
             // A workload's `FuncId`s name one specific module's
@@ -1405,6 +1314,38 @@ fn module_profiles(
     }
 }
 
+/// Rejects a module that names a physical register outside `target`'s
+/// register file. Registers are dense indices into every per-register
+/// table the pipeline builds, so such a module (parsed text can name
+/// any `rN`) would otherwise panic deep inside liveness.
+fn check_registers(module: &Module, target: &Target) -> Result<(), DriverError> {
+    let limit = target.reg_index_limit();
+    for fid in module.func_ids() {
+        let func = module.func(fid);
+        for b in func.block_ids() {
+            for inst in &func.block(b).insts {
+                let mut outside = None;
+                let mut check = |r: Reg| match r {
+                    Reg::Phys(p) if p.index() >= limit => outside = Some(p),
+                    _ => {}
+                };
+                inst.for_each_use(&mut check);
+                inst.for_each_def(&mut check);
+                if let Some(p) = outside {
+                    return Err(DriverError::Config(format!(
+                        "function `{}` uses physical register {p}, outside target `{}`'s \
+                         register file (r0..r{})",
+                        func.name(),
+                        target.name(),
+                        limit.saturating_sub(1)
+                    )));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// The deterministic synthetic profile [`ProfileSource::Synthetic`]
 /// yields for one function (shared by the engine's lazy per-function
 /// path and [`Session::resolve_profiles`]).
@@ -1427,48 +1368,84 @@ fn synth_profile(func: &Function, fid: FuncId, source: &ProfileSource) -> EdgePr
     )
 }
 
-/// Runs one module through the engine: profile → allocate → analyses →
-/// selected techniques, per function on the engine's executor.
-pub(crate) fn run_module(module: &Module, engine: &Engine<'_>) -> Result<ModuleRun, DriverError> {
-    let profiles = module_profiles(module, engine.target, engine.profile_source)?;
-    let items: Vec<(FuncId, Option<EdgeProfile>)> = module.func_ids().zip(profiles).collect();
-    let outcomes = engine
-        .exec
-        .run(items, |_, (fid, profile)| {
-            run_function(module, fid, profile, engine)
-        })
-        .map_err(|p| DriverError::Panicked {
-            unit: module.func(FuncId::from_index(p.index)).name().to_string(),
-            message: p.message(),
-        })?;
-
-    let mut reports = Vec::with_capacity(outcomes.len());
-    let mut allocated = Vec::with_capacity(outcomes.len());
-    let mut faults = Vec::new();
-    for outcome in outcomes {
-        let (report, alloc, fault) = outcome?;
-        reports.push(report);
-        allocated.push(alloc);
-        faults.extend(fault);
-    }
-    let run = ModuleRun::from_parts(
-        ModuleReport::new(
-            module.name().to_string(),
-            engine.target.name().to_string(),
-            reports,
-        ),
-        allocated,
-        faults,
-    );
-    notify_module_done(engine, &run.report)?;
-    Ok(run)
+/// Runs one module through the engine (see [`run_modules`]).
+fn run_module(module: &Module, engine: &Engine<'_>) -> Result<ModuleRun, DriverError> {
+    let mut runs = run_modules(std::slice::from_ref(module), engine)?;
+    Ok(runs.pop().expect("one run per module"))
 }
 
-/// One function's pipeline, inside a containment boundary: the attempt
-/// (arena-aware, exactly the historical pipeline) runs under
-/// `catch_unwind` with the session's [`Budget`] armed; panics, invalid
-/// placements, and budget trips are classified into structured errors
-/// and the arena is purged of any partial state. The engine's
+/// Runs a batch of modules through the engine: profile → allocate →
+/// analyses → selected techniques, with every function of every module
+/// fanned out on the engine's pool at once (a small module never
+/// serializes behind a big one). Runs come back in input order.
+fn run_modules(modules: &[Module], engine: &Engine<'_>) -> Result<Vec<ModuleRun>, DriverError> {
+    // Stage 1 (serial): per-module training profiles.
+    let mut items: Vec<(&Module, FuncId, Option<EdgeProfile>)> = Vec::new();
+    for module in modules {
+        let profiles = module_profiles(module, engine.target, engine.profile_source)?;
+        items.extend(
+            module
+                .func_ids()
+                .zip(profiles)
+                .map(|(fid, p)| (module, fid, p)),
+        );
+    }
+    let units: Vec<(&Module, FuncId)> = items.iter().map(|&(m, fid, _)| (m, fid)).collect();
+    // A panic names `module::function`, whether the pool caught it or
+    // the function's containment boundary classified it.
+    let panicked = |i: usize, message: String| {
+        let (module, fid) = units[i];
+        DriverError::Panicked {
+            unit: format!("{}::{}", module.name(), module.func(fid).name()),
+            message,
+        }
+    };
+
+    // Stage 2 (parallel): every function of every module, one batch.
+    let outcomes = engine
+        .pool
+        .run_batch(items, |_, (module, fid, profile)| {
+            run_function(module, fid, profile, engine)
+        })
+        .map_err(|p| panicked(p.index, p.message()))?;
+
+    // Regroup per module, in input order (items are module-major).
+    let mut outcomes = outcomes.into_iter().enumerate();
+    let mut runs = Vec::with_capacity(modules.len());
+    for module in modules {
+        let mut reports = Vec::with_capacity(module.num_funcs());
+        let mut allocated = Vec::with_capacity(module.num_funcs());
+        let mut faults = Vec::new();
+        for (i, outcome) in outcomes.by_ref().take(module.num_funcs()) {
+            let (report, alloc, fault) = outcome.map_err(|e| match e {
+                DriverError::Panicked { message, .. } => panicked(i, message),
+                e => e,
+            })?;
+            reports.push(report);
+            allocated.push(alloc);
+            faults.extend(fault);
+        }
+        runs.push(ModuleRun::from_parts(
+            ModuleReport::new(
+                module.name().to_string(),
+                engine.target.name().to_string(),
+                reports,
+            ),
+            allocated,
+            faults,
+        ));
+    }
+    for run in &runs {
+        notify_module_done(engine, &run.report)?;
+    }
+    Ok(runs)
+}
+
+/// One function's pipeline, inside a containment boundary: the
+/// arena-aware attempt runs under `catch_unwind` with the session's
+/// [`Budget`] armed ([`contained`]); panics, invalid placements, and
+/// budget trips are classified into structured errors and the arena is
+/// purged of any partial state. The engine's
 /// [`FailurePolicy`] then decides whether the failure surfaces (`Fail`,
 /// the historical behavior), walks the degradation ladder (`Degrade`),
 /// or skips the function (`Skip`) — the latter two recording the
@@ -1479,8 +1456,8 @@ fn run_function(
     profile: Option<EdgeProfile>,
     engine: &Engine<'_>,
 ) -> Result<FunctionOutcome, DriverError> {
-    // Outermost per-function span: on transient/serial executors this is
-    // the flush boundary (on the persistent pool, `pool_job` wraps it).
+    // Outermost per-function span: on a serial pool this is the flush
+    // boundary (on persistent workers, `pool_job` wraps it).
     let _fn_span = spillopt_obs::span("function");
     let source_func = module.func(fid);
     let profile = profile.unwrap_or_else(|| synth_profile(source_func, fid, engine.profile_source));
@@ -1508,7 +1485,11 @@ fn run_function(
         }
     }
 
-    let error = match attempt_full(module, fid, &profile, engine, text.as_deref(), deadline) {
+    let function = source_func.name();
+    let full = contained(function, engine, deadline, || {
+        attempt_full(fid, source_func, profile.clone(), engine, text.as_deref())
+    });
+    let error = match full {
         Ok((report, alloc, provenance)) => {
             if engine.policy != FailurePolicy::Fail {
                 if let (Some(arena), Some(text)) = (engine.arena, text.as_deref()) {
@@ -1550,8 +1531,11 @@ fn run_function(
 
     // Degrade: walk the guarantee chain — hier-jump → hier-exec → Chow
     // → entry/exit, within the session's technique set — with fresh
-    // arena-free single-technique attempts. The first rung that
-    // succeeds retires the function.
+    // arena-free single-technique attempts, each in its own containment
+    // boundary and sharing the function's deadline. Degraded products
+    // are never cached: a later clean call runs cold and is
+    // byte-identical to a fresh session. The first rung that succeeds
+    // retires the function.
     if engine.policy == FailurePolicy::Degrade {
         for strategy in [
             Strategy::HierJump,
@@ -1562,13 +1546,20 @@ fn run_function(
             if !engine.techniques.contains(strategy) {
                 continue;
             }
-            if let Ok((report, alloc)) =
-                attempt_single(module, fid, &profile, engine, strategy, deadline)
-            {
+            let rung = contained(function, engine, deadline, || {
+                cold_pipeline(
+                    fid,
+                    source_func,
+                    engine,
+                    profile.clone(),
+                    Fold::Single(strategy),
+                )
+            });
+            if let Ok(cold) = rung {
                 spillopt_obs::count("fault_degraded", 1);
                 let fault = fault_entry(FaultAction::Degraded { to: strategy });
-                notify_retired(engine, module, &report, Provenance::Degraded)?;
-                return Ok((report, alloc, Some(fault)));
+                notify_retired(engine, module, &cold.report, Provenance::Degraded)?;
+                return Ok((cold.report, (cold.func, cold.placements), Some(fault)));
             }
         }
     }
@@ -1581,57 +1572,39 @@ fn run_function(
     Ok((report, alloc, Some(fault)))
 }
 
-/// The full pipeline attempt, inside the containment boundary: arms the
-/// budget, catches panics (typed budget and injection payloads
+/// Runs one pipeline attempt inside the containment boundary: arms the
+/// engine's budget, catches panics (typed budget and injection payloads
 /// included), and classifies any failure into a structured error.
-fn attempt_full(
-    module: &Module,
-    fid: FuncId,
-    profile: &EdgeProfile,
+fn contained<T>(
+    function: &str,
     engine: &Engine<'_>,
-    text: Option<&str>,
     deadline: Option<Instant>,
-) -> Result<(FunctionReport, AllocatedFunction, Provenance), DriverError> {
-    let function = module.func(fid).name();
+    attempt: impl FnOnce() -> Result<T, DriverError>,
+) -> Result<T, DriverError> {
     catch_unwind(AssertUnwindSafe(|| {
         let _budget = arm_budget(engine, deadline);
-        attempt_full_inner(module, fid, profile.clone(), engine, text)
+        attempt()
     }))
     .unwrap_or_else(|payload| Err(classify_panic(function, payload)))
 }
 
-/// The historical pipeline body: resolve against the two-level arena
-/// and run as little of the pipeline as the cached structure allows —
-/// warm wholesale, incremental re-fold on drift, cold only for unseen
+/// The full pipeline attempt: resolve against the two-level arena and
+/// run as little of the pipeline as the cached structure allows — warm
+/// wholesale, incremental re-fold on drift, cold only for unseen
 /// functions or allocation-changing drifts.
-fn attempt_full_inner(
-    module: &Module,
+fn attempt_full(
     fid: FuncId,
+    source_func: &Function,
     profile: EdgeProfile,
     engine: &Engine<'_>,
     text: Option<&str>,
 ) -> Result<(FunctionReport, AllocatedFunction, Provenance), DriverError> {
-    let source_func = module.func(fid);
     let (Some(arena), Some(text)) = (engine.arena, text) else {
-        // No arena: the frozen whole-pipeline cold path — also the
-        // differential oracle the drift fuzzer compares every
-        // incremental result against.
-        let mut func = source_func.clone();
-        let alloc = {
-            let _s = spillopt_obs::span("allocate");
-            allocate(&mut func, engine.target, Some(&profile))
-        };
-        let cache = AnalysisCache::compute(&func, engine.target, profile);
-        let mut report = report_shell(fid, &func, &cache, alloc.spilled_vregs);
-        let placements = if cache.needs_placement() {
-            let inputs = suite_inputs(&cache);
-            let suite = run_suite(&cache.cfg, &inputs, &SuiteOptions::priced(*engine.costs))
-                .map_err(|e| suite_error(&func, e))?;
-            fill_report(&mut report, suite, engine.techniques)
-        } else {
-            Vec::new()
-        };
-        return Ok((report, (func, placements), Provenance::Cold));
+        // No arena: the plain cold pipeline — also the differential
+        // oracle the drift fuzzer compares every incremental result
+        // against.
+        let cold = cold_pipeline(fid, source_func, engine, profile, Fold::Suite)?;
+        return Ok((cold.report, (cold.func, cold.placements), Provenance::Cold));
     };
 
     let pkey = profile_key(&profile);
@@ -1672,75 +1645,17 @@ fn attempt_full_inner(
         // structure cold (the old outcomes priced a different
         // function, so they are cleared with it).
         arena.record_miss();
-        let (new_state, (report, allocated)) = cold_structure(fid, source_func, engine, profile)?;
+        let (new_state, (report, allocated)) =
+            cold_structure(fid, source_func, engine, profile, pkey)?;
         *st = new_state;
-        st.outcomes
-            .insert(pkey, (report.clone(), allocated.1.clone()));
         return Ok((report, allocated, Provenance::Cold));
     }
 
     // Unseen function: full cold pipeline, then cache the structure.
     arena.record_miss();
-    let (mut state, (report, allocated)) = cold_structure(fid, source_func, engine, profile)?;
-    state
-        .outcomes
-        .insert(pkey, (report.clone(), allocated.1.clone()));
+    let (state, (report, allocated)) = cold_structure(fid, source_func, engine, profile, pkey)?;
     arena.insert_structure(text.to_string(), state);
     Ok((report, allocated, Provenance::Cold))
-}
-
-/// One rung of the degradation ladder: a fresh, arena-free,
-/// single-technique pipeline attempt inside its own containment
-/// boundary, sharing the function's wall-clock deadline. Degraded
-/// products are never cached — a later clean call runs cold and is
-/// byte-identical to a fresh session.
-fn attempt_single(
-    module: &Module,
-    fid: FuncId,
-    profile: &EdgeProfile,
-    engine: &Engine<'_>,
-    strategy: Strategy,
-    deadline: Option<Instant>,
-) -> Result<(FunctionReport, AllocatedFunction), DriverError> {
-    let function = module.func(fid).name();
-    catch_unwind(AssertUnwindSafe(|| {
-        let _budget = arm_budget(engine, deadline);
-        let mut func = module.func(fid).clone();
-        let alloc = {
-            let _s = spillopt_obs::span("allocate");
-            allocate(&mut func, engine.target, Some(profile))
-        };
-        let cache = AnalysisCache::compute(&func, engine.target, profile.clone());
-        let mut report = report_shell(fid, &func, &cache, alloc.spilled_vregs);
-        let placements = if cache.needs_placement() {
-            let technique = match strategy {
-                Strategy::Baseline => Technique::EntryExit,
-                Strategy::Shrinkwrap => Technique::Chow,
-                Strategy::HierExec => Technique::HierExec,
-                Strategy::HierJump => Technique::HierJump,
-            };
-            let inputs = suite_inputs(&cache);
-            let (placement, cost) = run_technique(
-                &cache.cfg,
-                &inputs,
-                &SuiteOptions::priced(*engine.costs),
-                technique,
-            )
-            .map_err(|e| suite_error(&func, e))?;
-            report.strategies.push(StrategyReport {
-                strategy,
-                cost,
-                static_count: placement.static_count(),
-                placement: placement.clone(),
-            });
-            report.best = Some(strategy);
-            vec![(strategy, placement)]
-        } else {
-            Vec::new()
-        };
-        Ok((report, (func, placements)))
-    }))
-    .unwrap_or_else(|payload| Err(classify_panic(function, payload)))
 }
 
 /// The ladder's last rung: the source function passes through
@@ -1852,16 +1767,43 @@ fn allocation_weights(func: &Function, profile: &EdgeProfile) -> Vec<u64> {
 /// of a [`FunctionOutcome`] is attached.
 type Retired = (FunctionReport, AllocatedFunction);
 
-/// Runs the full cold pipeline for one function and packages the result
-/// as an arena [`StructState`] (with its [`PlacementMemo`]) plus the
-/// retired outcome.
-fn cold_structure(
+/// The placement fold a [`cold_pipeline`] run ends in.
+#[derive(Clone, Copy)]
+enum Fold {
+    /// Every technique, through [`run_suite`] (the arena-off path).
+    Suite,
+    /// Every technique, through [`run_suite_memoized`], keeping the
+    /// per-region [`PlacementMemo`] later incremental re-folds start
+    /// from (the arena's cold path).
+    Memoized,
+    /// One technique alone (a degradation-ladder rung).
+    Single(Strategy),
+}
+
+/// One cold pipeline run's products.
+struct Cold {
+    /// The allocated (physical, pre-placement) function.
+    func: Function,
+    spilled_vregs: usize,
+    cache: AnalysisCache,
+    /// Set by [`Fold::Memoized`] when the function needs placement.
+    memo: Option<PlacementMemo>,
+    report: FunctionReport,
+    placements: Vec<(Strategy, Placement)>,
+}
+
+/// The per-function pipeline, cold: allocate under `profile`, compute
+/// the shared analyses once, run `fold`'s placements, and fill the
+/// report with the session's selected strategies. Functions without
+/// callee-saved use need no placement and retire with an empty report
+/// body under every fold.
+fn cold_pipeline(
     fid: FuncId,
     source_func: &Function,
     engine: &Engine<'_>,
     profile: EdgeProfile,
-) -> Result<(StructState, Retired), DriverError> {
-    let weights = allocation_weights(source_func, &profile);
+    fold: Fold,
+) -> Result<Cold, DriverError> {
     let mut func = source_func.clone();
     let alloc = {
         let _s = spillopt_obs::span("allocate");
@@ -1869,26 +1811,78 @@ fn cold_structure(
     };
     let cache = AnalysisCache::compute(&func, engine.target, profile);
     let mut report = report_shell(fid, &func, &cache, alloc.spilled_vregs);
-    let (memo, placements) = if cache.needs_placement() {
+    let mut memo = None;
+    let placements = if cache.needs_placement() {
         let inputs = suite_inputs(&cache);
-        let (suite, memo) =
-            run_suite_memoized(&cache.cfg, &inputs, &SuiteOptions::priced(*engine.costs))
-                .map_err(|e| suite_error(&func, e))?;
-        let placements = fill_report(&mut report, suite, engine.techniques);
-        (Some(memo), placements)
+        let options = SuiteOptions::priced(*engine.costs);
+        let invalid = |e| suite_error(&func, e);
+        match fold {
+            Fold::Suite => {
+                let suite = run_suite(&cache.cfg, &inputs, &options).map_err(invalid)?;
+                fill_report(&mut report, suite, engine.techniques)
+            }
+            Fold::Memoized => {
+                let (suite, m) =
+                    run_suite_memoized(&cache.cfg, &inputs, &options).map_err(invalid)?;
+                memo = Some(m);
+                fill_report(&mut report, suite, engine.techniques)
+            }
+            Fold::Single(strategy) => {
+                let technique = match strategy {
+                    Strategy::Baseline => Technique::EntryExit,
+                    Strategy::Shrinkwrap => Technique::Chow,
+                    Strategy::HierExec => Technique::HierExec,
+                    Strategy::HierJump => Technique::HierJump,
+                };
+                let (placement, cost) =
+                    run_technique(&cache.cfg, &inputs, &options, technique).map_err(invalid)?;
+                report.strategies.push(StrategyReport {
+                    strategy,
+                    cost,
+                    static_count: placement.static_count(),
+                    placement: placement.clone(),
+                });
+                report.best = Some(strategy);
+                vec![(strategy, placement)]
+            }
+        }
     } else {
-        (None, Vec::new())
+        Vec::new()
     };
-    let state = StructState {
-        func_text: func.to_string(),
-        func: func.clone(),
+    Ok(Cold {
+        func,
         spilled_vregs: alloc.spilled_vregs,
-        weights,
         cache,
         memo,
-        outcomes: HashMap::new(),
+        report,
+        placements,
+    })
+}
+
+/// Runs the memoized cold pipeline for one function and packages the
+/// result as an arena [`StructState`] — its outcome under `pkey`
+/// already recorded — plus the retired outcome.
+fn cold_structure(
+    fid: FuncId,
+    source_func: &Function,
+    engine: &Engine<'_>,
+    profile: EdgeProfile,
+    pkey: ProfileKey,
+) -> Result<(StructState, Retired), DriverError> {
+    let weights = allocation_weights(source_func, &profile);
+    let cold = cold_pipeline(fid, source_func, engine, profile, Fold::Memoized)?;
+    let mut outcomes = HashMap::new();
+    outcomes.insert(pkey, (cold.report.clone(), cold.placements.clone()));
+    let state = StructState {
+        func_text: cold.func.to_string(),
+        func: cold.func.clone(),
+        spilled_vregs: cold.spilled_vregs,
+        weights,
+        cache: cold.cache,
+        memo: cold.memo,
+        outcomes,
     };
-    Ok((state, (report, (func, placements))))
+    Ok((state, (cold.report, (cold.func, cold.placements))))
 }
 
 /// Re-establishes one function's placement after a profile drift that

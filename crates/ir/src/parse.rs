@@ -46,6 +46,23 @@ impl fmt::Display for ParseError {
 
 impl Error for ParseError {}
 
+/// The largest `frame N`, `vregs N`, `vN + 1` or `slotN + 1` count the
+/// reader accepts. Register allocation builds an interference matrix
+/// quadratic in the vreg count (at this limit, 2^30 bits = 128 MiB), so
+/// a hostile count must fail here, with its line, rather than abort the
+/// process in the allocator. The largest function the generators emit
+/// (stress at scale 32, the SPEC stand-ins) has about 4.3k vregs and 39
+/// frame slots.
+const MAX_COUNT: usize = 1 << 15;
+
+/// Rejects a `what` count above [`MAX_COUNT`].
+fn check_count(line: usize, what: &str, n: usize) -> Result<(), ParseError> {
+    if n > MAX_COUNT {
+        return err(line, format!("{what} {n} exceeds the limit of {MAX_COUNT}"));
+    }
+    Ok(())
+}
+
 fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
     Err(ParseError {
         line,
@@ -282,6 +299,7 @@ impl<'a> Parser<'a> {
                     line: lno,
                     message: "bad frame size".into(),
                 })?;
+                check_count(lno, "frame size", n)?;
                 func.frame_mut().reserve_slots(n);
                 continue;
             }
@@ -290,6 +308,7 @@ impl<'a> Parser<'a> {
                     line: lno,
                     message: "bad vreg count".into(),
                 })?;
+                check_count(lno, "vreg count", n)?;
                 func.reserve_vregs(n);
                 continue;
             }
@@ -505,6 +524,7 @@ fn parse_reg(lno: usize, s: &str, func: &mut Function) -> Result<Reg, ParseError
             line: lno,
             message: format!("bad register `{s}`"),
         })?;
+        check_count(lno, "vreg count", idx.saturating_add(1))?;
         func.reserve_vregs(idx + 1);
         return Ok(Reg::Virt(VReg::from_index(idx)));
     }
@@ -526,6 +546,7 @@ fn parse_slot(lno: usize, s: &str, func: &mut Function) -> Result<FrameSlot, Par
         line: lno,
         message: format!("bad slot `{s}`"),
     })?;
+    check_count(lno, "frame size", idx.saturating_add(1))?;
     func.frame_mut().reserve_slots(idx + 1);
     Ok(FrameSlot::from_index(idx))
 }
@@ -683,6 +704,22 @@ block entry:
             // Body / structure errors.
             ("func @f(0) {\n  frame x\nblock A:\n  ret\n}\n", 2, "frame"),
             ("func @f(0) {\n  vregs x\nblock A:\n  ret\n}\n", 2, "vreg"),
+            // Counts past the limit, or past `u32`, never reach the IR.
+            (
+                "func @f(0) {\n  vregs 99999999999\nblock A:\n  ret\n}\n",
+                2,
+                "vreg count 99999999999 exceeds the limit",
+            ),
+            (
+                "func @f(0) {\n  vregs 32769\nblock A:\n  ret\n}\n",
+                2,
+                "vreg count 32769 exceeds the limit of 32768",
+            ),
+            (
+                "func @f(0) {\n  frame 4294967296\nblock A:\n  ret\n}\n",
+                2,
+                "frame size 4294967296 exceeds the limit",
+            ),
             ("func @f(0) {\n  v0 = li 1\n}\n", 2, "outside any block"),
             ("func @f(0) {\nblock A:\n  ret\n", 0, "end of input"),
         ];
@@ -697,6 +734,15 @@ block entry:
             ("store.data v0", "expected `store.kind"),
             ("store.frob v0, slot0", "bad memory kind"),
             ("v0 = load.data slotx", "bad slot `slotx`"),
+            (
+                "v0 = load.data slot32768",
+                "frame size 32769 exceeds the limit",
+            ),
+            (
+                "v4294967296 = li 1",
+                "vreg count 4294967297 exceeds the limit",
+            ),
+            ("v0 = mov v32768", "vreg count 32769 exceeds the limit"),
             ("v0 = li banana", "bad immediate `banana`"),
             ("v0 = mov q3", "bad register `q3`"),
             ("v0 = add v1", "expected two operands"),

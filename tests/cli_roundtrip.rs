@@ -118,3 +118,39 @@ fn bad_usage_exits_with_code_two() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 }
+
+/// Hostile `--input` files fail cleanly: exit 1 with a message naming
+/// the problem, never a panic or an allocator abort.
+#[test]
+fn hostile_inputs_exit_one_without_a_panic() {
+    let cases = [
+        (
+            "huge-vregs.ir",
+            "module m\n\nfunc @f(0) {\n  vregs 99999999999\nblock A:\n  ret\n}\n",
+            "line 4: vreg count 99999999999 exceeds the limit",
+        ),
+        (
+            "foreign-preg.ir",
+            "module m\n\nfunc @f(0) {\nblock A:\n  r99 = li 1\n  ret\n}\n",
+            "function `f` uses physical register r99, outside target",
+        ),
+    ];
+    for (name, text, needle) in cases {
+        let input = temp_path(name);
+        std::fs::write(&input, text).expect("write input");
+        for target in ["pa-risc-like", "all"] {
+            let out = spillopt(&[
+                "report",
+                "--input",
+                input.to_str().unwrap(),
+                "--target",
+                target,
+            ]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{name} on {target}: {stderr}");
+            assert!(stderr.contains(needle), "{name} on {target}: {stderr}");
+            assert!(!stderr.contains("panic"), "{name} on {target}: {stderr}");
+        }
+        let _ = std::fs::remove_file(&input);
+    }
+}

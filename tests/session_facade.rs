@@ -1,99 +1,114 @@
-//! Differential tests for the session-based API redesign: the new
-//! `OptimizerBuilder`/`Session` facade must be **byte-identical** to the
-//! deprecated free-function entry points it replaces, and a warm session
-//! must answer exactly like a cold one.
-//!
-//! This file (with `tests/differential_solver.rs`) is the sanctioned
-//! caller of the deprecated shims — the comparison is its purpose.
-#![allow(deprecated)]
+//! Differential tests for the session facade: the default arena-on
+//! `Session` must be **byte-identical** to an arena-off session (the
+//! plain cold pipeline, which the arena's memoized folds must never
+//! drift from), the cross-target fan-out must equal independent
+//! per-target sessions, and a warm session must answer exactly like a
+//! cold one.
 
 use spillopt::{OptimizerBuilder, ProfileSource};
-use spillopt_driver::{cross_target_runs, optimize_module, optimize_module_for, DriverConfig};
-use spillopt_ir::Target;
+use spillopt_driver::{CrossTargetReport, Session};
+use spillopt_ir::{Module, Target};
 use spillopt_targets::registry;
 
 /// Stress-generated modules for one target (the adversarial corpus the
 /// SPEC stand-ins never produce).
-fn stress_modules(
-    target: &Target,
-    seeds: std::ops::Range<u64>,
-    scale: u32,
-) -> Vec<spillopt_ir::Module> {
+fn stress_modules(target: &Target, seeds: std::ops::Range<u64>, scale: u32) -> Vec<Module> {
     seeds
         .map(|seed| spillopt_stress::gen_case_scaled(target, seed, scale).module)
         .collect()
 }
 
-/// The acceptance gate of the redesign: on every registered target, the
-/// deprecated `optimize_module_for` shim and the new `Session` produce
-/// byte-identical `ModuleReport` JSON over stress-generated modules.
-#[test]
-fn session_matches_deprecated_shims_byte_for_byte_on_every_target() {
-    let config = DriverConfig {
-        threads: 1,
-        profile: ProfileSource::default(),
-    };
-    for spec in registry() {
-        let target = spec.to_target();
-        let session = OptimizerBuilder::new()
-            .target_spec(spec.clone())
-            .threads(1)
-            .build()
-            .expect("valid session");
-        for (seed, module) in stress_modules(&target, 0..4, 2).iter().enumerate() {
-            let old = optimize_module_for(module, &spec, &config).expect("deprecated shim");
-            let new = session.optimize(module).expect("session");
+/// Asserts that a default (arena-on) session and an arena-off session
+/// report the same bytes for every module — cold, and again warm.
+fn assert_arena_matches_cold(arena: &Session, cold: &Session, modules: &[Module], what: &str) {
+    for pass in ["cold", "warm"] {
+        for (seed, module) in modules.iter().enumerate() {
+            let expected = cold.optimize(module).expect("arena-off session");
+            let actual = arena.optimize(module).expect("arena-on session");
             assert_eq!(
-                old.report.to_json().to_compact(),
-                new.report.to_json().to_compact(),
-                "facade diverged from shim: target {} seed {seed}",
-                spec.name
+                expected.report.to_json().to_compact(),
+                actual.report.to_json().to_compact(),
+                "arena-on session diverged from arena-off ({pass}): {what} seed {seed}"
             );
         }
     }
+    assert!(arena.arena_stats().hits > 0, "{what}: warm pass never hit");
+    assert_eq!(cold.arena_stats().hits + cold.arena_stats().misses, 0);
 }
 
-/// The preset-target shim (`optimize_module`, unit costs) against a
-/// session built from the same preset `Target`.
+/// On every registered target, the default session (memoized folds in
+/// the analysis arena) and a `reuse_analyses(false)` session (the plain
+/// `run_suite` pipeline) produce byte-identical `ModuleReport` JSON over
+/// stress-generated modules.
 #[test]
-fn session_matches_deprecated_preset_target_shim() {
-    let target = Target::default();
-    let config = DriverConfig {
-        threads: 1,
-        profile: ProfileSource::default(),
-    };
-    let session = OptimizerBuilder::new()
-        .target(target.clone())
-        .threads(1)
-        .build()
-        .expect("valid session");
-    for module in stress_modules(&target, 0..4, 2) {
-        let old = optimize_module(&module, &target, &config).expect("deprecated shim");
-        let new = session.optimize(&module).expect("session");
-        assert_eq!(
-            old.report.to_json().to_compact(),
-            new.report.to_json().to_compact()
-        );
+fn arena_session_matches_arena_off_session_on_every_target() {
+    for spec in registry() {
+        let target = spec.to_target();
+        let session = |reuse: bool| {
+            OptimizerBuilder::new()
+                .target_spec(spec.clone())
+                .threads(1)
+                .reuse_analyses(reuse)
+                .build()
+                .expect("valid session")
+        };
+        let modules = stress_modules(&target, 0..4, 2);
+        assert_arena_matches_cold(&session(true), &session(false), &modules, spec.name);
     }
 }
 
-/// `Session::cross_target` against the deprecated `cross_target_runs`,
-/// over the same loader.
+/// The same equality on a preset `Target` (unit costs).
 #[test]
-fn session_cross_target_matches_deprecated_fan_out() {
-    let specs = registry();
+fn arena_session_matches_arena_off_preset_target_session() {
+    let target = Target::default();
+    let session = |reuse: bool| {
+        OptimizerBuilder::new()
+            .target(target.clone())
+            .threads(1)
+            .reuse_analyses(reuse)
+            .build()
+            .expect("valid session")
+    };
+    let modules = stress_modules(&target, 0..4, 2);
+    assert_arena_matches_cold(&session(true), &session(false), &modules, "preset");
+}
+
+/// `Session::cross_target` on two threads against one independent
+/// arena-off session per target, over the same loader.
+#[test]
+fn session_cross_target_matches_per_target_sessions() {
     let load = |spec: &spillopt_targets::TargetSpec| {
         let module = spillopt_stress::gen_case_scaled(&spec.to_target(), 7, 2).module;
         Ok((module, ProfileSource::default()))
     };
-    let old = cross_target_runs(&specs, 2, load).expect("deprecated fan-out");
     let session = OptimizerBuilder::new()
         .all_targets()
         .threads(2)
         .build()
         .expect("valid session");
-    let new = session.cross_target(load).expect("session fan-out");
-    assert_eq!(old.to_json().to_compact(), new.to_json().to_compact());
+    let fanned = session.cross_target(load).expect("session fan-out");
+    let independent = CrossTargetReport::new(
+        registry()
+            .into_iter()
+            .map(|spec| {
+                let (module, profile) = load(&spec).expect("load");
+                let run = OptimizerBuilder::new()
+                    .target_spec(spec.clone())
+                    .profile(profile)
+                    .threads(1)
+                    .reuse_analyses(false)
+                    .build()
+                    .expect("valid session")
+                    .optimize(&module)
+                    .expect("per-target optimize");
+                (spec, run.report)
+            })
+            .collect(),
+    );
+    assert_eq!(
+        independent.to_json().to_compact(),
+        fanned.to_json().to_compact()
+    );
 }
 
 /// Warm-session batching: `optimize_many` over N modules must equal N
