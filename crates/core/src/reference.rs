@@ -18,14 +18,17 @@
 //! * [`run_suite_priced_reference`] — the four-technique suite wired to
 //!   all of the above.
 //!
-//! Two consumers: the differential tests (the rewritten paths must be
-//! decision-for-decision identical), and the perf-trajectory bench
-//! (`spillopt bench`), which times the frozen pipeline against the
-//! current one on the same corpus so every future PR can measure its
-//! speedup against this baseline.
+//! Two consumers. The differential tests hold the rewritten paths
+//! decision-for-decision identical to these:
+//! `tests/differential_solver.rs::suite_and_validator_match_reference_on_stress_modules`
+//! (the whole suite and the validator) and
+//! `solver::tests::initial_sets_match_reference` (the modified
+//! shrink-wrap sets). And the word-parallel paths fall back to them when
+//! a function uses more than 64 callee-saved registers (see
+//! [`crate::chow`], [`crate::modified`] and [`crate::validate`]).
 
 use crate::chow::chow_shrink_wrap_with;
-use crate::cost::{location_cost, spill_point_cost, Cost, CostModel, SpillCostModel};
+use crate::cost::{spill_point_cost, Cost, CostModel, SpillCostModel};
 use crate::dataflow::{chow_grow, region_boundary};
 use crate::entry_exit::entry_exit_placement;
 use crate::hierarchical::{boundary_set, home_region, HierarchicalResult, TraceEvent};
@@ -756,21 +759,4 @@ pub fn run_suite_priced_reference(
         hierarchical_jump,
         predicted,
     }
-}
-
-/// [`crate::placement_cost`]'s retired sibling for the execution-count
-/// path (shared implementation is cheap; kept for completeness of the
-/// frozen suite).
-pub fn placement_model_cost_reference(
-    model: CostModel,
-    cfg: &Cfg,
-    profile: &EdgeProfile,
-    placement: &Placement,
-    shares: &EdgeSharesReference,
-) -> Cost {
-    placement
-        .points()
-        .iter()
-        .map(|p| location_cost(model, cfg, profile, p.loc, shares.share(p.loc)))
-        .sum()
 }

@@ -90,16 +90,6 @@ impl Default for ProfileSource {
     }
 }
 
-/// Configuration of the frozen reference pipeline in [`crate::refimpl`]
-/// (sessions carry these knobs on [`crate::OptimizerBuilder`]).
-#[derive(Clone, Debug, Default)]
-pub struct DriverConfig {
-    /// Worker threads; `0` = available parallelism, `1` = serial.
-    pub threads: usize,
-    /// Profile source.
-    pub profile: ProfileSource,
-}
-
 /// A driver failure.
 #[derive(Debug)]
 pub enum DriverError {
@@ -288,9 +278,7 @@ pub struct ModuleRun {
 }
 
 impl ModuleRun {
-    /// Assembles a run from its parts (the session engine and the
-    /// reference pipeline in [`crate::refimpl`] build the same
-    /// structure).
+    /// Assembles a run from its parts.
     pub(crate) fn from_parts(
         report: ModuleReport,
         allocated: Vec<(Function, Vec<(Strategy, Placement)>)>,

@@ -24,10 +24,9 @@
 //!   sessions ([`pool::Pool`]), scoped per-call scheduling for the
 //!   stress, drift and fault fuzzers' case fan-out, deterministic
 //!   item-order results either way;
-//! * [`mod@bench`] / [`refimpl`] — the perf-trajectory harness: the frozen
-//!   pre-rewrite pipeline kept executable, timed against the current
-//!   one over a seeded stress corpus with byte-identical reports
-//!   required (`spillopt bench --json`, `BENCH_*.json` records);
+//! * [`mod@bench`] — the seeded stress corpus ([`BenchConfig`],
+//!   [`bench::corpus_for`]) behind the golden report digests and the
+//!   `spillbench` benchmark;
 //! * [`stress`] — fan-out of the differential stress subsystem
 //!   (`spillopt-stress`: random-CFG modules × interpreter oracles) over
 //!   `(target, seed)` pairs;
@@ -45,7 +44,7 @@
 //!   ([`Budget`]); contained failures land in [`ModuleRun::faults`]
 //!   as [`FunctionFault`] entries;
 //! * [`cli`] — the `spillopt` binary: `optimize`, `compare`, `report`,
-//!   `stress`, `bench`, `list-benches`, `list-targets`.
+//!   `stats`, `stress`, `gap`, `list-benches`, `list-targets`.
 //!
 //! # Examples
 //!
@@ -102,17 +101,15 @@ pub mod driver;
 pub mod faults;
 pub mod json;
 pub mod pool;
-pub mod refimpl;
 pub mod report;
 pub mod session;
 pub mod stress;
 
-pub use bench::{run_bench, BenchConfig, BenchOutcome};
+pub use bench::BenchConfig;
 pub use cache::AnalysisCache;
 pub use drift::{run_drift, DriftConfig, DriftFailure, DriftSummary, DEFAULT_DRIFT_STEPS};
 pub use driver::{
-    DriverConfig, DriverError, FaultAction, FaultKind, FunctionFault, ModuleRun, ProfileSource,
-    Strategy,
+    DriverError, FaultAction, FaultKind, FunctionFault, ModuleRun, ProfileSource, Strategy,
 };
 pub use faults::{run_faults, FaultConfig, FaultFailure, FaultSummary, FAULT_SITES};
 pub use json::Json;

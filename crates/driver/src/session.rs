@@ -679,6 +679,11 @@ enum BuildTarget {
     All,
 }
 
+/// The largest explicit worker count [`OptimizerBuilder::build`]
+/// accepts. The pool spawns every requested worker up front, so an
+/// absurd count would exhaust the process's threads and abort it.
+pub const MAX_THREADS: usize = 1024;
+
 /// Configures and validates a [`Session`] — the only supported way to
 /// run the module-scale optimizer.
 ///
@@ -784,7 +789,8 @@ impl OptimizerBuilder {
     }
 
     /// Worker threads; `0` = available parallelism, `1` = the serial
-    /// reference schedule. The pool is spawned once, at `build()`.
+    /// reference schedule. The pool is spawned once, at `build()`, which
+    /// rejects counts above [`MAX_THREADS`].
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -852,6 +858,12 @@ impl OptimizerBuilder {
             return Err(DriverError::Config(
                 "technique set is empty; select at least one technique".to_string(),
             ));
+        }
+        if self.threads > MAX_THREADS {
+            return Err(DriverError::Config(format!(
+                "{} worker threads requested; the limit is {MAX_THREADS}",
+                self.threads
+            )));
         }
         let resolve = |spec: TargetSpec| -> Result<SessionTarget, DriverError> {
             let target = spec.try_to_target().map_err(|e| {

@@ -48,7 +48,7 @@ fn cross_target_report_is_bit_identical_across_thread_counts() {
     }
 }
 
-fn run_bench_on(spec: &TargetSpec, bench: &str) -> spillopt_driver::ModuleReport {
+fn optimize_bench_on(spec: &TargetSpec, bench: &str) -> spillopt_driver::ModuleReport {
     let bench_spec = benchmark_by_name(bench).expect("known benchmark");
     let built = build_bench(&bench_spec, &spec.to_target());
     OptimizerBuilder::new()
@@ -70,7 +70,7 @@ fn run_bench_on(spec: &TargetSpec, bench: &str) -> spillopt_driver::ModuleReport
 fn hier_jump_never_loses_on_any_registered_target() {
     for spec in registry() {
         for bench in ["mcf", "gzip", "crafty"] {
-            let report = run_bench_on(&spec, bench);
+            let report = optimize_bench_on(&spec, bench);
             assert!(
                 report.total_cost(Strategy::HierJump) <= report.total_cost(Strategy::Baseline),
                 "{bench} on {}: hier-jump beaten by baseline",

@@ -216,102 +216,6 @@ impl DomTree {
     pub fn depth(&self, v: usize) -> usize {
         self.depth[v] as usize
     }
-
-    /// The retired implementation (per-node child vectors, forward
-    /// direction only), kept verbatim for the perf-trajectory bench's
-    /// frozen pipeline. Same tree as [`DomTree::compute`].
-    pub fn compute_reference(graph: &Graph, root: usize) -> Self {
-        let n = graph.num_nodes();
-        let rpo = graph.reverse_postorder(root);
-        let mut rpo_num = vec![u32::MAX; n];
-        for (i, &b) in rpo.iter().enumerate() {
-            rpo_num[b] = i as u32;
-        }
-
-        let mut idom: Vec<Option<u32>> = vec![None; n];
-        idom[root] = Some(root as u32);
-
-        let intersect = |idom: &[Option<u32>], rpo_num: &[u32], mut a: usize, mut b: usize| {
-            while a != b {
-                while rpo_num[a] > rpo_num[b] {
-                    a = idom[a].expect("processed node") as usize;
-                }
-                while rpo_num[b] > rpo_num[a] {
-                    b = idom[b].expect("processed node") as usize;
-                }
-            }
-            a
-        };
-
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in &rpo {
-                if b == root {
-                    continue;
-                }
-                let mut new_idom: Option<usize> = None;
-                for &p in graph.preds(b) {
-                    let p = p as usize;
-                    if idom[p].is_none() {
-                        continue;
-                    }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, &rpo_num, p, cur),
-                    });
-                }
-                if let Some(ni) = new_idom {
-                    if idom[b] != Some(ni as u32) {
-                        idom[b] = Some(ni as u32);
-                        changed = true;
-                    }
-                }
-            }
-        }
-
-        // Euler numbering of the dominator tree.
-        let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (v, p) in idom.iter().enumerate() {
-            if v == root {
-                continue;
-            }
-            if let Some(p) = p {
-                children[*p as usize].push(v as u32);
-            }
-        }
-        let mut tin = vec![0u32; n];
-        let mut tout = vec![0u32; n];
-        let mut depth = vec![0u32; n];
-        let mut clock = 0u32;
-        let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
-        tin[root] = {
-            clock += 1;
-            clock
-        };
-        while let Some(&mut (u, ref mut ci)) = stack.last_mut() {
-            if *ci < children[u].len() {
-                let v = children[u][*ci] as usize;
-                *ci += 1;
-                depth[v] = depth[u] + 1;
-                clock += 1;
-                tin[v] = clock;
-                stack.push((v, 0));
-            } else {
-                clock += 1;
-                tout[u] = clock;
-                stack.pop();
-            }
-        }
-
-        DomTree {
-            root,
-            idom,
-            tin,
-            tout,
-            depth,
-        }
-    }
 }
 
 /// Dominator tree over a function's blocks.

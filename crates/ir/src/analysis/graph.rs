@@ -40,14 +40,6 @@ impl Graph {
         &self.preds[u]
     }
 
-    /// Returns the reversed graph.
-    pub fn reversed(&self) -> Graph {
-        Graph {
-            succs: self.preds.clone(),
-            preds: self.succs.clone(),
-        }
-    }
-
     /// Builds the graph of a CFG (nodes are block indices).
     pub fn from_cfg(cfg: &Cfg) -> Graph {
         let mut g = Graph::new(cfg.num_blocks());
@@ -114,13 +106,6 @@ impl Graph {
         }
         order
     }
-
-    /// Reverse postorder from `root`.
-    pub fn reverse_postorder(&self, root: usize) -> Vec<usize> {
-        let mut po = self.postorder(root);
-        po.reverse();
-        po
-    }
 }
 
 #[cfg(test)]
@@ -141,9 +126,12 @@ mod tests {
         let g = diamond();
         assert_eq!(g.succs(0), &[1, 2]);
         assert_eq!(g.preds(3), &[1, 2]);
-        let r = g.reversed();
-        assert_eq!(r.succs(3), &[1, 2]);
-        assert_eq!(r.preds(0), &[1, 2]);
+        // The predecessor lists are the reversed graph.
+        for u in 0..g.num_nodes() {
+            for &v in g.succs(u) {
+                assert!(g.preds(v as usize).contains(&(u as u32)));
+            }
+        }
     }
 
     #[test]
@@ -152,11 +140,9 @@ mod tests {
         let pre = g.preorder(0);
         assert_eq!(pre[0], 0);
         assert_eq!(pre.len(), 4);
-        let rpo = g.reverse_postorder(0);
-        assert_eq!(rpo[0], 0);
-        assert_eq!(rpo[3], 3);
-        // In a diamond, RPO places 3 last.
+        // In a diamond, postorder places the join first and the root last.
         let po = g.postorder(0);
+        assert_eq!(po[0], 3);
         assert_eq!(po[3], 0);
     }
 

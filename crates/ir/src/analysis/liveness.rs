@@ -149,9 +149,9 @@ impl Liveness {
     }
 
     /// The retired per-visit-allocating implementation, kept verbatim as
-    /// the reference for differential tests and the perf-trajectory
-    /// bench (`spillopt bench`). Same unique fixpoint as
-    /// [`Liveness::compute`].
+    /// the sole oracle of [`Liveness::compute`] (the
+    /// `fast_matches_reference` test in this module compares the two).
+    /// Same unique fixpoint as [`Liveness::compute`].
     pub fn compute_reference(func: &Function, cfg: &Cfg, target: &Target) -> Self {
         let universe = RegUniverse::new(func, target);
         let n = func.num_blocks();

@@ -105,9 +105,7 @@ impl SourceMap {
                 }
             }
             if let Some(&l) = f.block_lines.get(b.index()) {
-                if l != 0 {
-                    return Some(l);
-                }
+                return Some(l);
             }
         }
         Some(f.header)
@@ -169,6 +167,18 @@ pub fn parse_module_traced(text: &str) -> Result<(Module, SourceMap), ParseError
         }
         if line.starts_with("func @") {
             let (f, fmap) = parser.parse_function()?;
+            // Calls resolve by name and the source map is keyed by it,
+            // so a second definition would shadow the first.
+            if let Some(first) = map.funcs.get(f.name()) {
+                return err(
+                    fmap.header,
+                    format!(
+                        "duplicate function `@{}` (first defined on line {})",
+                        f.name(),
+                        first.header
+                    ),
+                );
+            }
             map.funcs.insert(f.name().to_string(), fmap);
             module
                 .get_or_insert_with(|| Module::new(module_name.clone()))
@@ -269,16 +279,25 @@ impl<'a> Parser<'a> {
         // resolve; blocks get ids in order of their labels.
         let mut block_ids: HashMap<String, BlockId> = HashMap::new();
         let mut depth_pos = self.pos;
-        while let Some(&(_, line)) = self.lines.get(depth_pos) {
+        while let Some(&(label_line, line)) = self.lines.get(depth_pos) {
             if line == "}" {
                 break;
             }
             if let Some(rest) = line.strip_prefix("block ") {
                 let label = rest.trim_end_matches(':').trim();
+                if let Some(first) = block_ids.get(label) {
+                    return err(
+                        label_line,
+                        format!(
+                            "duplicate block label `{label}` (first defined on line {})",
+                            fmap.block_lines[first.index()]
+                        ),
+                    );
+                }
                 let id = func.add_block(Some(label));
                 block_ids.insert(label.to_string(), id);
-                fmap.block_lines.resize(id.index() + 1, 0);
-                fmap.inst_lines.resize(id.index() + 1, Vec::new());
+                fmap.block_lines.push(label_line);
+                fmap.inst_lines.push(Vec::new());
             }
             depth_pos += 1;
         }
@@ -313,10 +332,7 @@ impl<'a> Parser<'a> {
                 continue;
             }
             if let Some(rest) = line.strip_prefix("block ") {
-                let label = rest.trim_end_matches(':').trim();
-                let id = block_ids[label];
-                fmap.block_lines[id.index()] = lno;
-                cur = Some(id);
+                cur = Some(block_ids[rest.trim_end_matches(':').trim()]);
                 continue;
             }
             let Some(block) = cur else {
@@ -721,6 +737,12 @@ block entry:
                 "frame size 4294967296 exceeds the limit",
             ),
             ("func @f(0) {\n  v0 = li 1\n}\n", 2, "outside any block"),
+            // A repeated label would send both blocks' branches to one.
+            (
+                "func @f(0) {\nblock A:\n  jmp A\nblock A:\n  ret\n}\n",
+                4,
+                "duplicate block label `A` (first defined on line 2)",
+            ),
             ("func @f(0) {\nblock A:\n  ret\n", 0, "end of input"),
         ];
         for (text, line, needle) in cases {
@@ -763,6 +785,28 @@ block entry:
         let e = parse_module("module m\nwat\n").unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("unexpected line"));
+        // A repeated function name, even with an error in the first body:
+        // rejected at the second header, naming the first.
+        let body = "func @f(0) {\n  vregs 1\nblock A:\n  ret v0\n  v0 = li 1\n}\n";
+        let e = parse_module(&format!("module m\n{body}{body}")).unwrap_err();
+        assert_eq!(e.line, 8, "{e}");
+        assert!(
+            e.message
+                .contains("duplicate function `@f` (first defined on line 2)"),
+            "{e}"
+        );
+        // A call to a function id outside the module parses; the
+        // verifier's error maps to the call's line, not its block's.
+        let (m, map) = parse_module_traced(
+            "module m\nfunc @f(0) {\nblock A:\n  v0 = li 1\n  call @99()\n  ret\n}\n",
+        )
+        .expect("parses");
+        let errors = crate::verify::verify_module(&m, crate::RegDiscipline::Virtual);
+        let bad = errors
+            .iter()
+            .find(|e| matches!(e, crate::verify::VerifyError::BadCallee { .. }))
+            .expect("bad callee reported");
+        assert_eq!(map.line_of(bad), Some(5), "{bad}");
     }
 
     #[test]

@@ -115,6 +115,8 @@ pub enum VerifyError {
         func: String,
         /// Offending block.
         block: BlockId,
+        /// Instruction index within the block.
+        index: usize,
     },
 }
 
@@ -163,7 +165,8 @@ impl VerifyError {
             VerifyError::TerminatorInBody { index, .. }
             | VerifyError::BadSlot { index, .. }
             | VerifyError::BadVReg { index, .. }
-            | VerifyError::VirtualAfterRegalloc { index, .. } => Some(*index),
+            | VerifyError::VirtualAfterRegalloc { index, .. }
+            | VerifyError::BadCallee { index, .. } => Some(*index),
             _ => None,
         }
     }
@@ -229,8 +232,11 @@ impl fmt::Display for VerifyError {
                     "{func}/{block}: instruction {index} uses a virtual register post-RA"
                 )
             }
-            VerifyError::BadCallee { func, block } => {
-                write!(f, "{func}/{block}: call references unknown function")
+            VerifyError::BadCallee { func, block, index } => {
+                write!(
+                    f,
+                    "{func}/{block}: instruction {index} calls an unknown function"
+                )
             }
         }
     }
@@ -408,7 +414,7 @@ pub fn verify_module(module: &Module, discipline: RegDiscipline) -> Vec<VerifyEr
     for (_, func) in module.funcs() {
         errors.extend(verify_function(func, discipline));
         for b in func.block_ids() {
-            for inst in &func.block(b).insts {
+            for (index, inst) in func.block(b).insts.iter().enumerate() {
                 if let InstKind::Call {
                     callee: Callee::Func(id),
                     ..
@@ -418,6 +424,7 @@ pub fn verify_module(module: &Module, discipline: RegDiscipline) -> Vec<VerifyEr
                         errors.push(VerifyError::BadCallee {
                             func: func.name().to_string(),
                             block: b,
+                            index,
                         });
                     }
                 }

@@ -85,8 +85,9 @@ pub fn random_walk_profile(cfg: &Cfg, walks: u64, max_steps: u64, seed: u64) -> 
     EdgeProfile::new(cfg, counts, walks)
 }
 
-/// The retired walk implementation, kept verbatim as the reference for
-/// the perf-trajectory bench (`spillopt bench`). Bit-identical output to
+/// The retired walk implementation, kept verbatim as the sole oracle of
+/// [`random_walk_profile`] (the `fast_walk_is_bit_identical_to_reference`
+/// test in this module compares the two). Bit-identical output to
 /// [`random_walk_profile`].
 pub fn random_walk_profile_reference(
     cfg: &Cfg,

@@ -93,53 +93,6 @@ impl AugGraph {
         }
     }
 
-    /// The retired construction (reversed-graph clone, reference
-    /// dominator algorithm), kept verbatim for the perf-trajectory
-    /// bench's frozen pipeline. Same structures as [`AugGraph::build`].
-    pub fn build_reference(cfg: &Cfg) -> Self {
-        let n = cfg.num_blocks();
-        let end = n;
-        let mut edges = Vec::with_capacity(cfg.num_edges() + cfg.exit_blocks().len() + 1);
-        for (id, e) in cfg.edges() {
-            edges.push(AugEdge {
-                from: e.from.index(),
-                to: e.to.index(),
-                what: AugEdgeRef::Cfg(id),
-            });
-        }
-        for &b in cfg.exit_blocks() {
-            edges.push(AugEdge {
-                from: b.index(),
-                to: end,
-                what: AugEdgeRef::Ret(b),
-            });
-        }
-        edges.push(AugEdge {
-            from: end,
-            to: cfg.entry().index(),
-            what: AugEdgeRef::Top,
-        });
-
-        // Split graph: nodes 0..=n are blocks + END; node n+1+i is the
-        // mid-point of augmented edge i.
-        let m = edges.len();
-        let mut split = Graph::new(n + 1 + m);
-        for (i, e) in edges.iter().enumerate() {
-            let mid = n + 1 + i;
-            split.add_edge(e.from, mid);
-            split.add_edge(mid, e.to);
-        }
-        let doms = DomTree::compute_reference(&split, cfg.entry().index());
-        let pdoms = DomTree::compute_reference(&split.reversed(), end);
-
-        AugGraph {
-            num_blocks: n,
-            edges,
-            doms,
-            pdoms,
-        }
-    }
-
     /// Index of the END node.
     pub fn end_node(&self) -> usize {
         self.num_blocks

@@ -257,142 +257,6 @@ impl Pst {
         }
     }
 
-    /// The retired construction, kept verbatim for the perf-trajectory
-    /// bench's frozen pipeline: reference dominator machinery, no
-    /// preorder arena (regions keep discovery numbering). Semantically
-    /// interchangeable with [`Pst::compute`] — every containment, LCA,
-    /// and boundary query answers the same — but region *ids* differ, so
-    /// only numbering-independent consumers (all placement passes) may
-    /// mix the two.
-    pub fn compute_reference(cfg: &Cfg) -> Self {
-        let aug = AugGraph::build_reference(cfg);
-        let chains = SeseChains::compute(&aug);
-        let maximal = chains.maximal_regions();
-        let n = cfg.num_blocks();
-
-        let boundary_of = |edge_idx: usize| match aug.edges[edge_idx].what {
-            AugEdgeRef::Cfg(e) => RegionBoundary::CfgEdge(e),
-            AugEdgeRef::Ret(b) => RegionBoundary::ReturnEdge(b),
-            AugEdgeRef::Top => unreachable!("top edge is never a boundary"),
-        };
-
-        // Root region.
-        let mut all = DenseBitSet::new(n);
-        for b in 0..n {
-            all.insert(b);
-        }
-        let mut regions = vec![Region {
-            id: RegionId(0),
-            parent: None,
-            children: Vec::new(),
-            entry: RegionBoundary::ProcEntry,
-            exit: RegionBoundary::ProcExits,
-            blocks: all,
-            depth: 0,
-        }];
-
-        for pair in &maximal {
-            let mut blocks = DenseBitSet::new(n);
-            for b in 0..n {
-                if aug.edge_dominates_block(pair.entry, b)
-                    && aug.edge_postdominates_block(pair.exit, b)
-                {
-                    blocks.insert(b);
-                }
-            }
-            debug_assert!(!blocks.is_empty(), "maximal SESE region with no blocks");
-            let id = RegionId(regions.len() as u32);
-            regions.push(Region {
-                id,
-                parent: None,
-                children: Vec::new(),
-                entry: boundary_of(pair.entry),
-                exit: boundary_of(pair.exit),
-                blocks,
-                depth: 0,
-            });
-        }
-
-        // Parent = smallest strict superset.
-        let mut order: Vec<usize> = (1..regions.len()).collect();
-        order.sort_by_key(|&i| regions[i].blocks.count());
-        for &i in &order {
-            let mut best: usize = 0; // root
-            let mut best_count = usize::MAX;
-            for j in 0..regions.len() {
-                if j == i {
-                    continue;
-                }
-                let cj = regions[j].blocks.count();
-                let ci = regions[i].blocks.count();
-                if cj > ci && regions[i].blocks.is_subset(&regions[j].blocks) && cj < best_count {
-                    best = j;
-                    best_count = cj;
-                }
-            }
-            regions[i].parent = Some(RegionId(best as u32));
-        }
-        for i in 1..regions.len() {
-            let p = regions[i].parent.expect("non-root has parent").index();
-            let id = regions[i].id;
-            regions[p].children.push(id);
-        }
-        // Deterministic child order: by smallest contained block index.
-        let keys: Vec<usize> = regions
-            .iter()
-            .map(|r| r.blocks.iter().next().unwrap_or(usize::MAX))
-            .collect();
-        for r in &mut regions {
-            r.children.sort_by_key(|c| keys[c.index()]);
-        }
-
-        // Depths.
-        let mut stack = vec![RegionId(0)];
-        while let Some(r) = stack.pop() {
-            let d = regions[r.index()].depth;
-            let children = regions[r.index()].children.clone();
-            for c in children {
-                regions[c.index()].depth = d + 1;
-                stack.push(c);
-            }
-        }
-
-        // Innermost region per block: smallest containing region wins.
-        let mut block_region = vec![RegionId(0); n];
-        let mut assigned = vec![false; n];
-        let mut by_size: Vec<usize> = (0..regions.len()).collect();
-        by_size.sort_by_key(|&i| regions[i].blocks.count());
-        for &i in &by_size {
-            for b in regions[i].blocks.iter() {
-                if !assigned[b] {
-                    assigned[b] = true;
-                    block_region[b] = RegionId(i as u32);
-                }
-            }
-        }
-
-        // Postorder (children before parents).
-        let mut postorder = Vec::with_capacity(regions.len());
-        let mut stack: Vec<(RegionId, usize)> = vec![(RegionId(0), 0)];
-        while let Some(&mut (r, ref mut ci)) = stack.last_mut() {
-            let children = &regions[r.index()].children;
-            if *ci < children.len() {
-                let c = children[*ci];
-                *ci += 1;
-                stack.push((c, 0));
-            } else {
-                postorder.push(r);
-                stack.pop();
-            }
-        }
-
-        Pst {
-            regions,
-            block_region,
-            postorder,
-        }
-    }
-
     /// The root region (the whole procedure).
     pub fn root(&self) -> RegionId {
         RegionId(0)

@@ -220,9 +220,9 @@ pub fn color(graph: &InterferenceGraph, target: &Target, no_spill: &DenseBitSet)
     }
 }
 
-/// The retired coloring implementation, kept verbatim as the reference
-/// for differential tests and the perf-trajectory bench. Same output as
-/// [`color`].
+/// The retired coloring implementation, kept verbatim as the sole
+/// oracle of [`color`]'s decisions (the `fast_matches_reference` test in
+/// this module compares the two). Same output as [`color`].
 pub fn color_reference(
     graph: &InterferenceGraph,
     target: &Target,

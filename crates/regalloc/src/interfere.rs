@@ -136,9 +136,10 @@ impl InterferenceGraph {
         g
     }
 
-    /// The retired push-per-edge construction, kept verbatim as the
-    /// reference for differential tests and the perf-trajectory bench.
-    /// Same interference relation as [`InterferenceGraph::build`].
+    /// The retired push-per-edge construction, kept verbatim as the sole
+    /// oracle of [`InterferenceGraph::build`] (the
+    /// `fast_build_matches_reference` test in this module compares the
+    /// two). Same interference relation as [`InterferenceGraph::build`].
     pub fn build_reference(
         func: &Function,
         _cfg: &Cfg,

@@ -136,60 +136,6 @@ pub fn allocate(
     panic!("register allocation did not converge for `{}`", func.name());
 }
 
-/// As [`allocate`], running the retired reference implementations of
-/// liveness, interference-graph construction, and coloring. Kept for the
-/// perf-trajectory bench (`spillopt bench`) and differential tests; the
-/// produced function, result summary, and every intermediate decision
-/// are identical to [`allocate`].
-pub fn allocate_reference(
-    func: &mut Function,
-    target: &Target,
-    profile: Option<&EdgeProfile>,
-) -> RegAllocResult {
-    let mut result = RegAllocResult::default();
-    let mut no_spill = DenseBitSet::new(func.num_vregs());
-
-    for round in 0..16 {
-        result.iterations = round + 1;
-        let cfg = Cfg::compute(func);
-        let weights: Vec<u64> = match profile {
-            Some(p) => func.block_ids().map(|b| p.block_count(b).max(1)).collect(),
-            None => {
-                // Static heuristic: deeper loops cost more.
-                let doms = spillopt_ir::BlockDoms::compute(&cfg);
-                let loops = spillopt_ir::LoopInfo::compute(&cfg, &doms);
-                func.block_ids()
-                    .map(|b| 10u64.saturating_pow(loops.depth(b).min(6) as u32))
-                    .collect()
-            }
-        };
-        let liveness = Liveness::compute_reference(func, &cfg, target);
-        let graph = InterferenceGraph::build_reference(func, &cfg, target, &liveness, &weights);
-        // Resize the no-spill set to the (possibly grown) vreg space.
-        let mut ns = DenseBitSet::new(func.num_vregs());
-        for i in no_spill.iter() {
-            ns.insert(i);
-        }
-        let coloring = color_reference(&graph, target, &ns);
-        if coloring.spills.is_empty() {
-            assert_coloring_valid(&graph, &coloring, func);
-            result.coalesced_moves = apply_coloring(func, &coloring.assignment);
-            result.used_callee_saved = used_callee_saved(func, target);
-            return result;
-        }
-        result.spilled_vregs += coloring.spills.len();
-        let temps = insert_spill_code(func, &coloring.spills);
-        no_spill = {
-            let mut s = DenseBitSet::new(func.num_vregs());
-            for i in ns.iter().chain(temps.iter()) {
-                s.insert(i);
-            }
-            s
-        };
-    }
-    panic!("register allocation did not converge for `{}`", func.name());
-}
-
 /// Hard safety net: every interference edge of the original graph must be
 /// honoured by the final assignment (coalescing or optimistic coloring
 /// bugs would surface here instead of as silent miscompiles).

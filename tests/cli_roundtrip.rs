@@ -117,35 +117,63 @@ fn bad_usage_exits_with_code_two() {
     let out = spillopt(&["optimize"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+    // `bench` is no subcommand: the benchmark is `spillbench/`.
+    let out = spillopt(&["bench", "--json"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown subcommand `bench`"));
 }
 
 /// Hostile `--input` files fail cleanly: exit 1 with a message naming
 /// the problem, never a panic or an allocator abort.
 #[test]
 fn hostile_inputs_exit_one_without_a_panic() {
+    let func = "func @f(0) {\n  vregs 1\nblock A:\n  ret v0\n  v0 = li 1\n}\n";
+    let duplicate_func = format!("module m\n\n{func}\n{func}");
     let cases = [
         (
             "huge-vregs.ir",
             "module m\n\nfunc @f(0) {\n  vregs 99999999999\nblock A:\n  ret\n}\n",
+            &[][..],
             "line 4: vreg count 99999999999 exceeds the limit",
         ),
         (
             "foreign-preg.ir",
             "module m\n\nfunc @f(0) {\nblock A:\n  r99 = li 1\n  ret\n}\n",
+            &[],
             "function `f` uses physical register r99, outside target",
         ),
+        (
+            "duplicate-func.ir",
+            duplicate_func.as_str(),
+            &[],
+            "line 10: duplicate function `@f` (first defined on line 3)",
+        ),
+        (
+            "duplicate-block.ir",
+            "module m\n\nfunc @f(0) {\nblock A:\n  jmp A\nblock A:\n  ret\n}\n",
+            &[],
+            "line 6: duplicate block label `A` (first defined on line 4)",
+        ),
+        (
+            "huge-threads.ir",
+            "module m\n\nfunc @f(0) {\nblock A:\n  ret\n}\n",
+            &["--threads", "200000"],
+            "200000 worker threads requested; the limit is 1024",
+        ),
     ];
-    for (name, text, needle) in cases {
+    for (name, text, extra, needle) in cases {
         let input = temp_path(name);
         std::fs::write(&input, text).expect("write input");
         for target in ["pa-risc-like", "all"] {
-            let out = spillopt(&[
+            let mut args = vec![
                 "report",
                 "--input",
                 input.to_str().unwrap(),
                 "--target",
                 target,
-            ]);
+            ];
+            args.extend_from_slice(extra);
+            let out = spillopt(&args);
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert_eq!(out.status.code(), Some(1), "{name} on {target}: {stderr}");
             assert!(stderr.contains(needle), "{name} on {target}: {stderr}");

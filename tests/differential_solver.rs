@@ -1,6 +1,7 @@
 //! Differential property tests: the word-parallel/dense rewrites must be
 //! decision-for-decision identical to the retired per-register reference
-//! implementations, over stress-generated modules.
+//! implementations, over stress-generated modules, and the end-to-end
+//! reports must never change.
 //!
 //! Layers covered, innermost out:
 //!
@@ -13,22 +14,21 @@
 //! 3. the word-parallel validator against the per-register one (as
 //!    violation sets);
 //! 4. the end-to-end module pipeline of a default `Session` — profile,
-//!    allocation, analyses, suite, report — against the frozen
-//!    pre-rewrite pipeline (`spillopt_driver::refimpl`), as
-//!    `ModuleReport` JSON bytes.
-//!
-//! The same equality gate runs at module scale inside `spillopt bench`
-//! on every CI run; these tests keep the per-layer diagnosis sharp.
+//!    allocation, analyses, suite, report — against the golden
+//!    `ModuleReport` digests in `tests/golden_reports.txt`, on every
+//!    registered target, over four fixed stress inputs and both stress
+//!    corpora (`BenchConfig::smoke()` and `BenchConfig::default()`).
 
 use spillopt_core::{run_suite, CalleeSavedUsage, RegWords, SuiteInputs, SuiteOptions};
-use spillopt_driver::driver::{DriverConfig, ProfileSource};
-use spillopt_driver::refimpl::optimize_module_reference;
-use spillopt_driver::OptimizerBuilder;
+use spillopt_driver::bench::corpus_for;
+use spillopt_driver::pool::run_indexed;
+use spillopt_driver::{BenchConfig, OptimizerBuilder};
 use spillopt_ir::analysis::loops::sccs;
-use spillopt_ir::{Cfg, DerivedCfg};
+use spillopt_ir::{Cfg, DerivedCfg, Module};
 use spillopt_profile::random_walk_profile;
 use spillopt_pst::Pst;
 use spillopt_targets::{registry, TargetSpec};
+use std::collections::BTreeMap;
 
 /// Allocated stress functions with their profiles, for per-layer checks.
 fn allocated_functions(
@@ -152,33 +152,76 @@ fn suite_and_validator_match_reference_on_stress_modules() {
     }
 }
 
+/// FNV-1a, 64-bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every golden input of `spec`'s target, keyed as in
+/// `tests/golden_reports.txt` (`<target> <set> seed=<S> scale=<K>`).
+fn golden_inputs(spec: &TargetSpec) -> Vec<(String, Module)> {
+    let target = spec.to_target();
+    let key =
+        |set: &str, seed: u64, scale: u32| format!("{} {set} seed={seed} scale={scale}", spec.name);
+    let mut inputs = Vec::new();
+    // A few small cases plus one scaled-up module-sized case.
+    for (seed, scale) in [(0, 1), (1, 1), (2, 1), (3, 4)] {
+        let case = spillopt_stress::gen_case_scaled(&target, seed, scale);
+        inputs.push((key("pairs", seed, scale), case.module));
+    }
+    for (set, config) in [
+        ("smoke", BenchConfig::smoke()),
+        ("nightly", BenchConfig::default()),
+    ] {
+        for (i, module) in corpus_for(spec, &config).into_iter().enumerate() {
+            inputs.push((key(set, config.seed_start + i as u64, config.scale), module));
+        }
+    }
+    inputs
+}
+
 #[test]
-fn module_reports_are_byte_identical_to_frozen_pipeline() {
-    let config = DriverConfig {
-        threads: 1,
-        profile: ProfileSource::default(),
-    };
-    for spec in registry() {
-        let target = spec.to_target();
+fn module_reports_match_golden_digests() {
+    let mut golden: BTreeMap<&str, &str> = include_str!("golden_reports.txt")
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .map(|line| line.rsplit_once(' ').expect("`<input> <digest>` line"))
+        .collect();
+    // Targets fan out over the cores (corpus generation dominates in
+    // debug builds); each runs its own serial default session.
+    let digests = run_indexed(registry(), 0, |_, spec| {
         // The default session: arena on, as every caller gets it.
         let session = OptimizerBuilder::new()
             .target_spec(spec.clone())
             .threads(1)
-            .profile(config.profile.clone())
             .build()
             .expect("valid session");
-        // A few small cases plus one scaled-up module-sized case.
-        for (seed, scale) in [(0, 1), (1, 1), (2, 1), (3, 4)] {
-            let case = spillopt_stress::gen_case_scaled(&target, seed, scale);
-            let current = session.optimize(&case.module).expect("current");
-            let reference =
-                optimize_module_reference(&case.module, &spec, &config).expect("reference");
-            assert_eq!(
-                current.report.to_json().to_compact(),
-                reference.report.to_json().to_compact(),
-                "report bytes diverged: target {} seed {seed} scale {scale}",
-                spec.name
-            );
+        golden_inputs(&spec)
+            .into_iter()
+            .map(|(input, module)| {
+                let report = session.optimize(&module).expect("optimize").report;
+                let json = report.to_json().to_compact();
+                (input, format!("{:016x}", fnv1a64(json.as_bytes())))
+            })
+            .collect::<Vec<_>>()
+    });
+    let mut diverged = Vec::new();
+    for (input, digest) in digests.into_iter().flatten() {
+        match golden.remove(input.as_str()) {
+            Some(expected) if expected == digest => {}
+            Some(expected) => diverged.push(format!("{input}: digest {digest}, golden {expected}")),
+            None => diverged.push(format!("{input}: digest {digest}, no golden line")),
         }
     }
+    for input in golden.keys() {
+        diverged.push(format!("{input}: golden line, but no such input"));
+    }
+    assert!(
+        diverged.is_empty(),
+        "ModuleReport digests differ from tests/golden_reports.txt for {} input(s):\n{}",
+        diverged.len(),
+        diverged.join("\n")
+    );
 }
