@@ -18,9 +18,10 @@ pub struct BenchConfig {
     /// are added whole until the floor is reached).
     pub functions: usize,
     /// Function-size multiplier passed to the stress generator
-    /// ([`spillopt_stress::gen_case_scaled`]): the corpus keeps the
-    /// stress subsystem's adversarial shapes at module-scale function
-    /// sizes, where optimizer wall-clock actually matters.
+    /// ([`spillopt_stress::gen_case_scaled`]): structured bodies at
+    /// module-scale sizes, where optimizer wall-clock actually matters.
+    /// From scale 16 up the generator's raw CFGs all fall back to
+    /// straight-line functions, so the default corpus has no raw CFG.
     pub scale: u32,
     /// First generator seed.
     pub seed_start: u64,

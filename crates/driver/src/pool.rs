@@ -249,8 +249,12 @@ pub struct PoolWorkerStats {
     pub idle_ns: u64,
 }
 
+/// A queued job. The worker passes its accounting as the argument; the
+/// job calls it just before retiring from its batch.
+type Job<'a> = Box<dyn FnOnce(&dyn Fn()) + Send + 'a>;
+
 struct Queue {
-    jobs: VecDeque<Box<dyn FnOnce() + Send>>,
+    jobs: VecDeque<Job<'static>>,
     shutdown: bool,
 }
 
@@ -266,7 +270,10 @@ struct Batch<T> {
 }
 
 impl<T> Batch<T> {
-    fn execute<I, F>(&self, work: &F, i: usize, item: I)
+    /// Runs item `i` and retires it. `account` runs before the item
+    /// counts as done, so once `run_batch` returns every worker's
+    /// counters include the whole batch.
+    fn execute<I, F>(&self, work: &F, i: usize, item: I, account: &dyn Fn())
     where
         F: Fn(usize, I) -> T,
     {
@@ -282,6 +289,7 @@ impl<T> Batch<T> {
                 }
             }
         }
+        account();
         let mut remaining = self.remaining.lock().unwrap();
         *remaining -= 1;
         if *remaining == 0 {
@@ -387,19 +395,15 @@ impl Pool {
         // Between enqueue and the wait below there is no panicking
         // operation on this thread: the queue mutex cannot be poisoned
         // (workers never run user code while holding it).
-        let jobs: Vec<Box<dyn FnOnce() + Send>> = items
+        let jobs: Vec<Job<'static>> = items
             .into_iter()
             .enumerate()
             .map(|(i, item)| {
                 let batch = &batch;
                 let work = &work;
-                let job: Box<dyn FnOnce() + Send + '_> =
-                    Box::new(move || batch.execute(work, i, item));
-                unsafe {
-                    std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Box<dyn FnOnce() + Send>>(
-                        job,
-                    )
-                }
+                let job: Job<'_> =
+                    Box::new(move |account: &dyn Fn()| batch.execute(work, i, item, account));
+                unsafe { std::mem::transmute::<Job<'_>, Job<'static>>(job) }
             })
             .collect();
         let depth = {
@@ -490,12 +494,13 @@ fn worker_loop(shared: &Shared, me: usize) {
                     // that finishes after the batch joins sees everything.
                     let _s = spillopt_obs::span("pool_job");
                     spillopt_obs::count("pool_jobs", 1);
-                    job();
+                    job(&|| {
+                        stats.items.fetch_add(1, Ordering::Relaxed);
+                        stats
+                            .busy_ns
+                            .fetch_add(busy_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    });
                 }
-                stats.items.fetch_add(1, Ordering::Relaxed);
-                stats
-                    .busy_ns
-                    .fetch_add(busy_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
             }
             None => return,
         }

@@ -46,13 +46,15 @@ impl fmt::Display for ParseError {
 
 impl Error for ParseError {}
 
-/// The largest `frame N`, `vregs N`, `vN + 1` or `slotN + 1` count the
-/// reader accepts. Register allocation builds an interference matrix
-/// quadratic in the vreg count (at this limit, 2^30 bits = 128 MiB), so
-/// a hostile count must fail here, with its line, rather than abort the
-/// process in the allocator. The largest function the generators emit
-/// (stress at scale 32, the SPEC stand-ins) has about 4.3k vregs and 39
-/// frame slots.
+/// The largest `frame N`, `vregs N`, `vN + 1` or `slotN + 1` count, and
+/// the most blocks in one function, the reader accepts. Register
+/// allocation builds an interference matrix quadratic in the vreg count
+/// (at this limit, 2^30 bits = 128 MiB), and the per-block analyses grow
+/// with the block count times the vreg count, so a hostile count must
+/// fail here, with its line, rather than exhaust memory or abort the
+/// process downstream. The largest function the generators emit (stress
+/// at scale 32, the SPEC stand-ins) has about 4.3k vregs, 420 blocks and
+/// 39 frame slots.
 const MAX_COUNT: usize = 1 << 15;
 
 /// Rejects a `what` count above [`MAX_COUNT`].
@@ -294,6 +296,7 @@ impl<'a> Parser<'a> {
                         ),
                     );
                 }
+                check_count(label_line, "block count", func.num_blocks() + 1)?;
                 let id = func.add_block(Some(label));
                 block_ids.insert(label.to_string(), id);
                 fmap.block_lines.push(label_line);
@@ -712,6 +715,12 @@ block entry:
     #[test]
     fn every_error_branch_reports_line_and_context() {
         let wrap = |inst: &str| format!("func @f(0) {{\nblock A:\n  {inst}\n  ret\n}}\n");
+        let many_blocks = format!(
+            "func @f(0) {{\n{}  ret\n}}\n",
+            (0..=MAX_COUNT)
+                .map(|i| format!("block b{i}:\n"))
+                .collect::<String>()
+        );
         let cases: &[(&str, usize, &str)] = &[
             // Header errors.
             ("func @f 0) {\nblock A:\n  ret\n}\n", 1, "expected `func"),
@@ -737,6 +746,12 @@ block entry:
                 "frame size 4294967296 exceeds the limit",
             ),
             ("func @f(0) {\n  v0 = li 1\n}\n", 2, "outside any block"),
+            // One block past the limit, rejected at its label.
+            (
+                many_blocks.as_str(),
+                32_770,
+                "block count 32769 exceeds the limit of 32768",
+            ),
             // A repeated label would send both blocks' branches to one.
             (
                 "func @f(0) {\nblock A:\n  jmp A\nblock A:\n  ret\n}\n",

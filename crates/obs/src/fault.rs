@@ -294,8 +294,13 @@ impl Drop for BudgetScope {
 mod tests {
     use super::*;
 
+    // Both injection tests open spans, which a concurrent recording in
+    // another test would capture: they hold the recorder's test lock.
+    use crate::tests::exclusive;
+
     #[test]
     fn injection_fires_on_nth_occurrence() {
+        let _t = exclusive();
         let scope = InjectionScope::arm(vec![FaultPlan {
             site: "unit_test_site",
             nth: 1,
@@ -322,6 +327,7 @@ mod tests {
 
     #[test]
     fn injection_is_thread_local() {
+        let _t = exclusive();
         let _scope = InjectionScope::arm(vec![FaultPlan {
             site: "unit_test_other_thread",
             nth: 0,

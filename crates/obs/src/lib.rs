@@ -539,10 +539,11 @@ mod tests {
     use super::*;
 
     /// The recorder is process-global; these tests serialize so one
-    /// test's events never land in another's trace.
+    /// test's events never land in another's trace. Every test that
+    /// opens a span takes it, `fault`'s included.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-    fn exclusive() -> MutexGuard<'static, ()> {
+    pub(crate) fn exclusive() -> MutexGuard<'static, ()> {
         TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
     }
 

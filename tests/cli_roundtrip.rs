@@ -129,6 +129,15 @@ fn bad_usage_exits_with_code_two() {
 fn hostile_inputs_exit_one_without_a_panic() {
     let func = "func @f(0) {\n  vregs 1\nblock A:\n  ret v0\n  v0 = li 1\n}\n";
     let duplicate_func = format!("module m\n\n{func}\n{func}");
+    // 240,000 one-instruction blocks: unbounded, this ran for minutes
+    // at gigabytes of RSS; the reader stops at the first block past the
+    // limit (line 5 + 2 * 32768).
+    let many_blocks = format!(
+        "module m\n\nfunc @f(0) {{\n  vregs 32768\n{}  ret\n}}\n",
+        (0..240_000)
+            .map(|i| format!("block b{i}:\n  v{} = li 1\n", i % 32_768))
+            .collect::<String>()
+    );
     let cases = [
         (
             "huge-vregs.ir",
@@ -153,6 +162,12 @@ fn hostile_inputs_exit_one_without_a_panic() {
             "module m\n\nfunc @f(0) {\nblock A:\n  jmp A\nblock A:\n  ret\n}\n",
             &[],
             "line 6: duplicate block label `A` (first defined on line 4)",
+        ),
+        (
+            "many-blocks.ir",
+            many_blocks.as_str(),
+            &[],
+            "line 65541: block count 32769 exceeds the limit of 32768",
         ),
         (
             "huge-threads.ir",
