@@ -7,9 +7,10 @@
 //! [`crate::OptimizerBuilder`] and call [`crate::Session::optimize`].
 
 use crate::report::ModuleReport;
-use spillopt_core::{insert_placement, Placement};
+use spillopt_core::insert_placement;
 use spillopt_ir::{Cfg, FuncId, Function, Module, RegDiscipline};
 use spillopt_profile::ExecError;
+use spillopt_sync::Arc;
 
 /// The placement strategies the driver compares, in reporting order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -261,15 +262,17 @@ impl std::fmt::Display for FunctionFault {
     }
 }
 
-/// The driver's full output: the deterministic report plus the allocated
-/// functions and placements needed to materialize an optimized module.
+/// The driver's full output: the deterministic report (which carries
+/// every selected strategy's placement) plus the allocated functions
+/// needed to materialize an optimized module.
 #[derive(Debug)]
 pub struct ModuleRun {
     /// Deterministic module-level report.
     pub report: ModuleReport,
     /// Allocated (physical, pre-placement) functions, in [`FuncId`]
-    /// order, paired with each selected strategy's placement.
-    allocated: Vec<(Function, Vec<(Strategy, Placement)>)>,
+    /// order — shared with the session's analysis arena, so a warm run
+    /// copies none of them.
+    allocated: Vec<Arc<Function>>,
     /// Fault ledger: functions contained under `Degrade`/`Skip`, in
     /// [`FuncId`] order. Empty under
     /// [`FailurePolicy::Fail`](crate::FailurePolicy::Fail) and on clean
@@ -281,7 +284,7 @@ impl ModuleRun {
     /// Assembles a run from its parts.
     pub(crate) fn from_parts(
         report: ModuleReport,
-        allocated: Vec<(Function, Vec<(Strategy, Placement)>)>,
+        allocated: Vec<Arc<Function>>,
         faults: Vec<FunctionFault>,
     ) -> Self {
         ModuleRun {
@@ -314,7 +317,7 @@ impl ModuleRun {
     /// input condition).
     pub fn apply(&self, choice: Option<Strategy>) -> Module {
         let mut out = Module::new(self.report.module.clone());
-        for (i, (func, placements)) in self.allocated.iter().enumerate() {
+        for (i, func) in self.allocated.iter().enumerate() {
             // A fault-skipped function passed through unoptimized: its
             // stored function is the *source* (possibly still in virtual
             // registers, never allocated), so it is emitted as-is rather
@@ -323,26 +326,27 @@ impl ModuleRun {
                 .faults
                 .iter()
                 .any(|fault| fault.index == i && fault.action == FaultAction::Skipped);
+            let mut func = Function::clone(func);
             if skipped {
-                out.add_func(func.clone());
+                out.add_func(func);
                 continue;
             }
-            let mut func = func.clone();
-            let strategy = choice
-                .unwrap_or_else(|| self.report.functions[i].best.unwrap_or(Strategy::HierJump));
-            if let Some((_, placement)) = placements.iter().find(|(s, _)| *s == strategy) {
+            let report = &self.report.functions[i];
+            let strategy = choice.unwrap_or_else(|| report.best.unwrap_or(Strategy::HierJump));
+            if let Some(selected) = report.strategy(strategy) {
                 let cfg = Cfg::compute(&func);
-                insert_placement(&mut func, &cfg, placement);
-            } else if !placements.is_empty() {
+                insert_placement(&mut func, &cfg, &selected.placement);
+            } else if !report.strategies.is_empty() {
                 // The function needed placement but this strategy was
                 // not computed (not in the session's technique set).
                 panic!(
                     "strategy `{}` was not computed for `{}` in this run (computed: {})",
                     strategy.name(),
                     func.name(),
-                    placements
+                    report
+                        .strategies
                         .iter()
-                        .map(|(s, _)| s.name())
+                        .map(|s| s.strategy.name())
                         .collect::<Vec<_>>()
                         .join(", ")
                 );

@@ -33,7 +33,7 @@ use crate::driver::{
 use crate::pool::{payload_message, Pool, PoolWorkerStats};
 use crate::report::{CrossTargetReport, FunctionReport, ModuleReport, StrategyReport};
 use spillopt_core::{
-    run_suite, run_suite_incremental, run_suite_memoized, run_technique, Placement, PlacementMemo,
+    run_suite, run_suite_incremental, run_suite_memoized, run_technique, PlacementMemo,
     PlacementSuite, RefoldStats, SpillCostModel, SuiteError, SuiteInputs, SuiteOptions, Technique,
 };
 use spillopt_ir::{FuncId, Function, Module, Reg, Target};
@@ -44,6 +44,7 @@ use spillopt_sync::atomic::{AtomicU64, Ordering};
 use spillopt_sync::{Arc, Mutex};
 use spillopt_targets::{registry, spec_by_name, TargetSpec};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -365,7 +366,8 @@ pub struct SessionStats {
 /// Arena statistics (see [`Session::arena_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArenaStats {
-    /// Cached function structures (distinct pre-allocation texts).
+    /// Cached function structures: distinct pre-allocation source
+    /// functions, compared structurally (block ids included).
     pub entries: usize,
     /// Lookups served wholesale — the exact (function, profile) pair
     /// was retired before ([`Provenance::Warm`]).
@@ -394,18 +396,119 @@ pub struct ArenaStats {
     pub quarantined: u64,
 }
 
-/// A keyed, LRU-bounded, quarantine-aware cache of shared per-key
-/// states — the concurrency skeleton of the analysis arena, generic
-/// over the per-key payload `S` so the model-checked suites can
-/// exercise the exact production lock/atomic protocol with a trivial
-/// payload (see `model_tests`). All bookkeeping (LRU stamps, counters,
-/// the negative cache) lives here; payloads sit behind `Arc<Mutex<S>>`
-/// so lookups clone a pointer under the map lock and per-key work
-/// happens outside it.
+/// A function's structural arena key: one pass of the arena's keyed
+/// SipHash over the function's arrays — name, parameter count, frame
+/// slots, vreg count, layout, and every block's name and instructions —
+/// paired with a borrow of the function itself. The hash only picks a
+/// bucket; every match is confirmed by structural `==`, so a collision
+/// can cost a miss but never serve another function's state. The key
+/// sees block ids, which placements name: functions that print alike
+/// but number their blocks differently are different keys.
+struct FuncKey<'f> {
+    hash: u64,
+    func: &'f Function,
+}
+
+/// A map keyed by [`FuncKey`]: entries are bucketed by hash and each
+/// keeps an owned copy of its key function, which every lookup compares
+/// with `==`. Colliding unequal functions share a bucket as separate
+/// entries.
+struct FuncMap<V> {
+    buckets: HashMap<u64, Vec<(Function, V)>>,
+    len: usize,
+}
+
+impl<V> FuncMap<V> {
+    fn new() -> Self {
+        FuncMap {
+            buckets: HashMap::new(),
+            len: 0,
+        }
+    }
+
+    fn get_mut(&mut self, key: &FuncKey<'_>) -> Option<&mut V> {
+        self.buckets
+            .get_mut(&key.hash)?
+            .iter_mut()
+            .find(|(func, _)| func == key.func)
+            .map(|(_, value)| value)
+    }
+
+    /// Sets the value for `key`, storing a copy of the key function
+    /// when the key is new.
+    fn insert(&mut self, key: &FuncKey<'_>, value: V) {
+        let bucket = self.buckets.entry(key.hash).or_default();
+        match bucket.iter_mut().find(|(func, _)| func == key.func) {
+            Some(slot) => slot.1 = value,
+            None => {
+                bucket.push((key.func.clone(), value));
+                self.len += 1;
+            }
+        }
+    }
+
+    /// The value for `key`, inserting `make()` (and a copy of the key
+    /// function) when there is none.
+    fn get_or_insert_with(&mut self, key: &FuncKey<'_>, make: impl FnOnce() -> V) -> &mut V {
+        let bucket = self.buckets.entry(key.hash).or_default();
+        let i = match bucket.iter().position(|(func, _)| func == key.func) {
+            Some(i) => i,
+            None => {
+                bucket.push((key.func.clone(), make()));
+                self.len += 1;
+                bucket.len() - 1
+            }
+        };
+        &mut bucket[i].1
+    }
+
+    fn remove(&mut self, key: &FuncKey<'_>) -> Option<V> {
+        let bucket = self.buckets.get(&key.hash)?;
+        let i = bucket.iter().position(|(func, _)| func == key.func)?;
+        Some(self.remove_at(key.hash, i))
+    }
+
+    /// Removes the entry with the smallest `rank`, never `keep`'s;
+    /// `None` when no other entry exists.
+    fn remove_min_by_key(&mut self, keep: &FuncKey<'_>, rank: impl Fn(&V) -> u64) -> Option<V> {
+        let (hash, i) = self
+            .buckets
+            .iter()
+            .flat_map(|(&hash, bucket)| {
+                bucket
+                    .iter()
+                    .enumerate()
+                    .map(move |(i, (func, value))| (hash, i, func, value))
+            })
+            .filter(|&(hash, _, func, _)| hash != keep.hash || func != keep.func)
+            .min_by_key(|&(_, _, _, value)| rank(value))
+            .map(|(hash, i, _, _)| (hash, i))?;
+        Some(self.remove_at(hash, i))
+    }
+
+    fn remove_at(&mut self, hash: u64, i: usize) -> V {
+        let bucket = self.buckets.get_mut(&hash).expect("an occupied bucket");
+        let (_, value) = bucket.swap_remove(i);
+        if bucket.is_empty() {
+            self.buckets.remove(&hash);
+        }
+        self.len -= 1;
+        value
+    }
+}
+
+/// A [`FuncKey`]-keyed, LRU-bounded, quarantine-aware cache of shared
+/// per-function states — the concurrency skeleton of the analysis
+/// arena, generic over the per-key payload `S` so the model-checked
+/// suites can exercise the exact production lock/atomic protocol with a
+/// trivial payload (see `arena_model_tests`). All bookkeeping (LRU
+/// stamps, counters, the negative cache) lives here; payloads sit behind
+/// `Arc<Mutex<S>>` so lookups clone a pointer under the map lock and
+/// per-key work happens outside it.
 pub(crate) struct Arena<S> {
-    /// Key → (LRU stamp, shared state). The stamps live *here*, so
-    /// eviction scans never take a state's own lock.
-    entries: Mutex<HashMap<String, ArenaEntry<S>>>,
+    /// Source function → (LRU stamp, shared state). The stamps live
+    /// *here*, so eviction scans never take a state's own lock.
+    entries: Mutex<FuncMap<ArenaEntry<S>>>,
     /// Maximum cached entries (`0` = unbounded).
     capacity: usize,
     /// LRU clock, bumped on every touch.
@@ -416,25 +519,29 @@ pub(crate) struct Arena<S> {
     evictions: AtomicU64,
     regions_refolded: AtomicU64,
     regions_total: AtomicU64,
-    /// Negative cache: keys whose pipeline has failed, with their
+    /// Negative cache: functions whose pipeline has failed, with their
     /// failure count and remaining skip window. Only consulted under
     /// [`FailurePolicy::Degrade`]/[`FailurePolicy::Skip`]; the `Fail`
     /// hot path never takes this lock.
-    quarantine: Mutex<HashMap<String, Quarantine>>,
+    quarantine: Mutex<FuncMap<Quarantine>>,
     quarantined: AtomicU64,
+    /// Randomly keyed per arena, so input functions cannot be crafted
+    /// to pile into one bucket.
+    hasher: RandomState,
 }
 
 /// The per-session analysis arena, keyed in **two levels** matching the
 /// two levels of input change a re-optimizing service sees:
 ///
-/// 1. **Structure** — the pre-allocation function text. One
-///    [`StructState`] per distinct function holds everything the text
-///    alone determines once an allocation exists: the allocated
-///    function, its [`AnalysisCache`] (CFG, liveness, usage, SCCs, PST,
-///    derived tables), and the [`PlacementMemo`] of per-region folded
-///    products.
+/// 1. **Structure** — the pre-allocation source function, by
+///    [`FuncKey`] (structural hash, confirmed by `==`). One
+///    [`StructState`] per distinct function holds everything the
+///    function alone determines once an allocation exists: the
+///    allocated function, its [`AnalysisCache`] (CFG, liveness, usage,
+///    SCCs, PST, derived tables), and the [`PlacementMemo`] of
+///    per-region folded products.
 /// 2. **Placement** — the exact edge profile. Each structure keeps its
-///    retired `(report, placements)` outcomes per profile.
+///    retired reports per profile.
 ///
 /// A repeated call with a seen profile is a wholesale hit
 /// ([`Provenance::Warm`]). A call with a *drifted* profile reuses the
@@ -452,8 +559,7 @@ pub(crate) struct Arena<S> {
 /// [`OptimizerBuilder::reuse_analyses`]`(false)` for one-shot or
 /// benchmarking sessions that must re-run the pipeline every time.
 ///
-/// Structure level keys are the pre-allocation function text; the
-/// shared concurrency skeleton is [`Arena`].
+/// The shared concurrency skeleton is [`Arena`].
 pub(crate) type AnalysisArena = Arena<StructState>;
 
 /// One function's entry in the arena's negative cache.
@@ -465,15 +571,14 @@ struct Quarantine {
     skip_remaining: u32,
 }
 
-/// Everything the pre-allocation function text determines for the
+/// Everything one pre-allocation source function determines for the
 /// session's fixed (target, cost model): the allocation, the analyses,
-/// and the per-region fold memo — plus the per-profile outcomes retired
+/// and the per-region fold memo — plus the per-profile reports retired
 /// against that structure.
 pub(crate) struct StructState {
-    /// The allocated (physical, pre-placement) function.
-    func: Function,
-    /// `func.to_string()`, kept to compare re-allocations cheaply.
-    func_text: String,
+    /// The allocated (physical, pre-placement) function, shared with
+    /// every [`ModuleRun`] that retired from this structure.
+    func: Arc<Function>,
     spilled_vregs: usize,
     /// The allocator's per-block weight vector for the profile the
     /// structure was last allocated under — its *only* profile input,
@@ -484,10 +589,11 @@ pub(crate) struct StructState {
     /// Per-region folded products; `None` when the function needs no
     /// placement (no callee-saved use).
     memo: Option<PlacementMemo>,
-    /// Retired outcomes per exact profile `(entry_count, edge_counts)`.
-    /// Every entry was produced against the *current* `func` (a cold
-    /// replace clears the map), so a hit clones `func` next to it.
-    outcomes: HashMap<ProfileKey, (FunctionReport, Vec<(Strategy, Placement)>)>,
+    /// Retired reports per exact profile `(entry_count, edge_counts)`;
+    /// each report carries its selected placements. Every entry was
+    /// produced against the *current* `func` (a cold replace clears the
+    /// map), so a hit hands out `func` next to it.
+    outcomes: HashMap<ProfileKey, FunctionReport>,
 }
 
 /// An LRU stamp paired with the shared per-key state it guards.
@@ -497,14 +603,11 @@ type ArenaEntry<S> = (u64, Arc<Mutex<S>>);
 /// `(entry_count, edge_counts)`.
 type ProfileKey = (u64, Vec<u64>);
 
-/// An allocated (physical, pre-placement) function paired with its
-/// selected placements.
-type AllocatedFunction = (Function, Vec<(Strategy, Placement)>);
-
-/// One function's pipeline product: the report, the allocated function
-/// with its placements, and the fault-ledger entry when the function was
-/// contained under [`FailurePolicy::Degrade`]/[`FailurePolicy::Skip`].
-type FunctionOutcome = (FunctionReport, AllocatedFunction, Option<FunctionFault>);
+/// One function's pipeline product: the report (with its selected
+/// placements), the allocated function, and the fault-ledger entry when
+/// the function was contained under
+/// [`FailurePolicy::Degrade`]/[`FailurePolicy::Skip`].
+type FunctionOutcome = (FunctionReport, Arc<Function>, Option<FunctionFault>);
 
 /// A cross-target module loader.
 type Loader<'l> = dyn Fn(&TargetSpec) -> Result<(Module, ProfileSource), DriverError> + Sync + 'l;
@@ -517,7 +620,7 @@ fn profile_key(profile: &EdgeProfile) -> ProfileKey {
 impl<S> Arena<S> {
     fn new(capacity: usize) -> Self {
         Arena {
-            entries: Mutex::new(HashMap::new()),
+            entries: Mutex::new(FuncMap::new()),
             capacity,
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -526,44 +629,42 @@ impl<S> Arena<S> {
             evictions: AtomicU64::new(0),
             regions_refolded: AtomicU64::new(0),
             regions_total: AtomicU64::new(0),
-            quarantine: Mutex::new(HashMap::new()),
+            quarantine: Mutex::new(FuncMap::new()),
             quarantined: AtomicU64::new(0),
+            hasher: RandomState::new(),
+        }
+    }
+
+    /// The structural key of `func` (see [`FuncKey`]).
+    fn key<'f>(&self, func: &'f Function) -> FuncKey<'f> {
+        FuncKey {
+            hash: self.hasher.hash_one(func),
+            func,
         }
     }
 
     /// The cached state for a key, touching its LRU stamp.
-    fn structure(&self, text: &str) -> Option<Arc<Mutex<S>>> {
+    fn structure(&self, key: &FuncKey<'_>) -> Option<Arc<Mutex<S>>> {
         let mut map = self.entries.lock().unwrap();
-        match map.get_mut(text) {
-            Some((stamp, state)) => {
-                *stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(state))
-            }
-            None => None,
-        }
+        let (stamp, state) = map.get_mut(key)?;
+        *stamp = self.clock.fetch_add(1, Ordering::Relaxed);
+        Some(Arc::clone(state))
     }
 
-    /// Caches a freshly computed state, evicting the least recently
-    /// used one when over capacity.
-    fn insert_structure(&self, text: String, state: S) {
+    /// Caches a freshly computed state (replacing any state `key`
+    /// already has), evicting the least recently used others when over
+    /// capacity.
+    fn insert_structure(&self, key: &FuncKey<'_>, state: S) {
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut map = self.entries.lock().unwrap();
-        map.insert(text.clone(), (stamp, Arc::new(Mutex::new(state))));
-        while self.capacity > 0 && map.len() > self.capacity {
-            let victim = map
-                .iter()
-                .filter(|(k, _)| **k != text)
-                .min_by_key(|(_, (stamp, _))| *stamp)
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    map.remove(&k);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    spillopt_obs::count("arena_evictions", 1);
-                }
-                // Capacity 1 entry is the one just inserted.
-                None => break,
+        map.insert(key, (stamp, Arc::new(Mutex::new(state))));
+        while self.capacity > 0 && map.len > self.capacity {
+            // Capacity 1: the only entry left is the one just inserted.
+            if map.remove_min_by_key(key, |(stamp, _)| *stamp).is_none() {
+                break;
             }
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            spillopt_obs::count("arena_evictions", 1);
         }
     }
 
@@ -586,21 +687,21 @@ impl<S> Arena<S> {
             .fetch_add(refolds.regions_total as u64, Ordering::Relaxed);
     }
 
-    /// Drops any cached structure for `text`. Called whenever the
+    /// Drops any cached structure for `key`. Called whenever the
     /// function's pipeline failed: a partially updated (or
     /// poisoned-mutex) `StructState` must never be served to a later
     /// call.
-    fn purge(&self, text: &str) {
-        self.entries.lock().unwrap().remove(text);
+    fn purge(&self, key: &FuncKey<'_>) {
+        self.entries.lock().unwrap().remove(key);
     }
 
-    /// Records a failed attempt for `text`: purges its cached structure
+    /// Records a failed attempt for `key`: purges its cached structure
     /// and, from the second failure on, opens an exponential-backoff
     /// skip window so a flapping input can't monopolize warm throughput.
-    fn record_failure(&self, text: &str) {
-        self.purge(text);
+    fn record_failure(&self, key: &FuncKey<'_>) {
+        self.purge(key);
         let mut quarantine = self.quarantine.lock().unwrap();
-        let entry = quarantine.entry(text.to_string()).or_insert(Quarantine {
+        let entry = quarantine.get_or_insert_with(key, || Quarantine {
             failures: 0,
             skip_remaining: 0,
         });
@@ -612,9 +713,9 @@ impl<S> Arena<S> {
 
     /// Consumes one call of an active quarantine window; `true` means
     /// the caller should skip this function without an attempt.
-    fn quarantine_skip(&self, text: &str) -> bool {
+    fn quarantine_skip(&self, key: &FuncKey<'_>) -> bool {
         let mut quarantine = self.quarantine.lock().unwrap();
-        match quarantine.get_mut(text) {
+        match quarantine.get_mut(key) {
             Some(entry) if entry.skip_remaining > 0 => {
                 entry.skip_remaining -= 1;
                 self.quarantined.fetch_add(1, Ordering::Relaxed);
@@ -625,17 +726,17 @@ impl<S> Arena<S> {
         }
     }
 
-    /// Clears the failure history of `text` after a successful attempt.
-    fn record_success(&self, text: &str) {
+    /// Clears the failure history of `key` after a successful attempt.
+    fn record_success(&self, key: &FuncKey<'_>) {
         let mut quarantine = self.quarantine.lock().unwrap();
-        if !quarantine.is_empty() {
-            quarantine.remove(text);
+        if quarantine.len > 0 {
+            quarantine.remove(key);
         }
     }
 
     fn stats(&self) -> ArenaStats {
         ArenaStats {
-            entries: self.entries.lock().unwrap().len(),
+            entries: self.entries.lock().unwrap().len,
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             incremental: self.incremental.load(Ordering::Relaxed),
@@ -1473,7 +1574,7 @@ fn run_function(
     let _fn_span = spillopt_obs::span("function");
     let source_func = module.func(fid);
     let profile = profile.unwrap_or_else(|| synth_profile(source_func, fid, engine.profile_source));
-    let text = engine.arena.map(|_| source_func.to_string());
+    let key = engine.arena.map(|arena| arena.key(source_func));
     // One wall-clock deadline per function, shared by every attempt
     // (ladder rungs included); iteration caps are per attempt.
     let deadline = engine.budget.deadline_from_now();
@@ -1481,8 +1582,8 @@ fn run_function(
     // Quarantined repeat offenders sit out their backoff window without
     // an attempt (Degrade/Skip only; `Fail` never quarantines).
     if engine.policy != FailurePolicy::Fail {
-        if let (Some(arena), Some(text)) = (engine.arena, text.as_deref()) {
-            if arena.quarantine_skip(text) {
+        if let (Some(arena), Some(key)) = (engine.arena, &key) {
+            if arena.quarantine_skip(key) {
                 let (report, alloc) = passthrough(fid, source_func);
                 let fault = FunctionFault {
                     function: source_func.name().to_string(),
@@ -1499,13 +1600,13 @@ fn run_function(
 
     let function = source_func.name();
     let full = contained(function, engine, deadline, || {
-        attempt_full(fid, source_func, profile.clone(), engine, text.as_deref())
+        attempt_full(fid, source_func, profile.clone(), engine, key.as_ref())
     });
     let error = match full {
         Ok((report, alloc, provenance)) => {
             if engine.policy != FailurePolicy::Fail {
-                if let (Some(arena), Some(text)) = (engine.arena, text.as_deref()) {
-                    arena.record_success(text);
+                if let (Some(arena), Some(key)) = (engine.arena, &key) {
+                    arena.record_success(key);
                 }
             }
             notify_retired(engine, module, &report, provenance)?;
@@ -1517,11 +1618,11 @@ fn run_function(
     // The attempt failed. Never keep (possibly partial) cached state
     // for a failed function; under Degrade/Skip also advance its
     // quarantine entry.
-    if let (Some(arena), Some(text)) = (engine.arena, text.as_deref()) {
+    if let (Some(arena), Some(key)) = (engine.arena, &key) {
         if engine.policy == FailurePolicy::Fail {
-            arena.purge(text);
+            arena.purge(key);
         } else {
-            arena.record_failure(text);
+            arena.record_failure(key);
         }
     }
     if engine.policy == FailurePolicy::Fail {
@@ -1571,7 +1672,7 @@ fn run_function(
                 spillopt_obs::count("fault_degraded", 1);
                 let fault = fault_entry(FaultAction::Degraded { to: strategy });
                 notify_retired(engine, module, &cold.report, Provenance::Degraded)?;
-                return Ok((cold.report, (cold.func, cold.placements), Some(fault)));
+                return Ok((cold.report, Arc::new(cold.func), Some(fault)));
             }
         }
     }
@@ -1609,29 +1710,25 @@ fn attempt_full(
     source_func: &Function,
     profile: EdgeProfile,
     engine: &Engine<'_>,
-    text: Option<&str>,
-) -> Result<(FunctionReport, AllocatedFunction, Provenance), DriverError> {
-    let (Some(arena), Some(text)) = (engine.arena, text) else {
+    key: Option<&FuncKey<'_>>,
+) -> Result<(FunctionReport, Arc<Function>, Provenance), DriverError> {
+    let (Some(arena), Some(key)) = (engine.arena, key) else {
         // No arena: the plain cold pipeline — also the differential
         // oracle the drift fuzzer compares every incremental result
         // against.
         let cold = cold_pipeline(fid, source_func, engine, profile, Fold::Suite)?;
-        return Ok((cold.report, (cold.func, cold.placements), Provenance::Cold));
+        return Ok((cold.report, Arc::new(cold.func), Provenance::Cold));
     };
 
     let pkey = profile_key(&profile);
-    if let Some(state) = arena.structure(text) {
+    if let Some(state) = arena.structure(key) {
         let mut guard = state.lock().unwrap();
         let st = &mut *guard;
-        if let Some((report, placements)) = st.outcomes.get(&pkey) {
+        if let Some(report) = st.outcomes.get(&pkey) {
             arena.record_hit();
             let mut report = report.clone();
             report.index = fid.index();
-            return Ok((
-                report,
-                (st.func.clone(), placements.clone()),
-                Provenance::Warm,
-            ));
+            return Ok((report, Arc::clone(&st.func), Provenance::Warm));
         }
         // The profile drifted. The allocator's only profile input is
         // its per-block weight vector, so equal weights prove the
@@ -1642,38 +1739,37 @@ fn attempt_full(
             let mut func = source_func.clone();
             let _s = spillopt_obs::span("allocate");
             let alloc = allocate(&mut func, engine.target, Some(&profile));
-            alloc.spilled_vregs == st.spilled_vregs && func.to_string() == st.func_text
+            alloc.spilled_vregs == st.spilled_vregs && func == *st.func
         };
         if allocation_unchanged {
             // Rebase the weight gate so repeated drifts to this weight
             // vector take the fast equality path.
             st.weights = weights;
-            let (report, allocated) = refold_incremental(fid, st, engine, profile, arena)?;
-            st.outcomes
-                .insert(pkey, (report.clone(), allocated.1.clone()));
-            return Ok((report, allocated, Provenance::Incremental));
+            let report = refold_incremental(fid, st, engine, profile, arena)?;
+            st.outcomes.insert(pkey, report.clone());
+            return Ok((report, Arc::clone(&st.func), Provenance::Incremental));
         }
         // The drift changed the allocation itself: rebuild the whole
         // structure cold (the old outcomes priced a different
         // function, so they are cleared with it).
         arena.record_miss();
-        let (new_state, (report, allocated)) =
-            cold_structure(fid, source_func, engine, profile, pkey)?;
+        let (new_state, report) = cold_structure(fid, source_func, engine, profile, pkey)?;
         *st = new_state;
-        return Ok((report, allocated, Provenance::Cold));
+        return Ok((report, Arc::clone(&st.func), Provenance::Cold));
     }
 
     // Unseen function: full cold pipeline, then cache the structure.
     arena.record_miss();
-    let (state, (report, allocated)) = cold_structure(fid, source_func, engine, profile, pkey)?;
-    arena.insert_structure(text.to_string(), state);
-    Ok((report, allocated, Provenance::Cold))
+    let (state, report) = cold_structure(fid, source_func, engine, profile, pkey)?;
+    let func = Arc::clone(&state.func);
+    arena.insert_structure(key, state);
+    Ok((report, func, Provenance::Cold))
 }
 
 /// The ladder's last rung: the source function passes through
 /// unoptimized (still pre-allocation). [`crate::ModuleRun::apply`]
 /// emits it as-is, guided by the fault ledger.
-fn passthrough(fid: FuncId, source_func: &Function) -> (FunctionReport, AllocatedFunction) {
+fn passthrough(fid: FuncId, source_func: &Function) -> (FunctionReport, Arc<Function>) {
     let insts = source_func
         .block_ids()
         .map(|b| source_func.block(b).insts.len())
@@ -1688,7 +1784,7 @@ fn passthrough(fid: FuncId, source_func: &Function) -> (FunctionReport, Allocate
         strategies: Vec::new(),
         best: None,
     };
-    (report, (source_func.clone(), Vec::new()))
+    (report, Arc::new(source_func.clone()))
 }
 
 /// Classifies a caught panic payload into a structured driver error:
@@ -1775,10 +1871,6 @@ fn allocation_weights(func: &Function, profile: &EdgeProfile) -> Vec<u64> {
         .collect()
 }
 
-/// A retired (report, allocated) pair, before the fault-ledger column
-/// of a [`FunctionOutcome`] is attached.
-type Retired = (FunctionReport, AllocatedFunction);
-
 /// The placement fold a [`cold_pipeline`] run ends in.
 #[derive(Clone, Copy)]
 enum Fold {
@@ -1800,8 +1892,8 @@ struct Cold {
     cache: AnalysisCache,
     /// Set by [`Fold::Memoized`] when the function needs placement.
     memo: Option<PlacementMemo>,
+    /// The report, carrying every selected placement.
     report: FunctionReport,
-    placements: Vec<(Strategy, Placement)>,
 }
 
 /// The per-function pipeline, cold: allocate under `profile`, compute
@@ -1824,20 +1916,20 @@ fn cold_pipeline(
     let cache = AnalysisCache::compute(&func, engine.target, profile);
     let mut report = report_shell(fid, &func, &cache, alloc.spilled_vregs);
     let mut memo = None;
-    let placements = if cache.needs_placement() {
+    if cache.needs_placement() {
         let inputs = suite_inputs(&cache);
         let options = SuiteOptions::priced(*engine.costs);
         let invalid = |e| suite_error(&func, e);
         match fold {
             Fold::Suite => {
                 let suite = run_suite(&cache.cfg, &inputs, &options).map_err(invalid)?;
-                fill_report(&mut report, suite, engine.techniques)
+                fill_report(&mut report, suite, engine.techniques);
             }
             Fold::Memoized => {
                 let (suite, m) =
                     run_suite_memoized(&cache.cfg, &inputs, &options).map_err(invalid)?;
                 memo = Some(m);
-                fill_report(&mut report, suite, engine.techniques)
+                fill_report(&mut report, suite, engine.techniques);
             }
             Fold::Single(strategy) => {
                 let technique = match strategy {
@@ -1852,65 +1944,59 @@ fn cold_pipeline(
                     strategy,
                     cost,
                     static_count: placement.static_count(),
-                    placement: placement.clone(),
+                    placement,
                 });
                 report.best = Some(strategy);
-                vec![(strategy, placement)]
             }
         }
-    } else {
-        Vec::new()
-    };
+    }
     Ok(Cold {
         func,
         spilled_vregs: alloc.spilled_vregs,
         cache,
         memo,
         report,
-        placements,
     })
 }
 
 /// Runs the memoized cold pipeline for one function and packages the
-/// result as an arena [`StructState`] — its outcome under `pkey`
-/// already recorded — plus the retired outcome.
+/// result as an arena [`StructState`] — its report under `pkey`
+/// already recorded — plus the retired report.
 fn cold_structure(
     fid: FuncId,
     source_func: &Function,
     engine: &Engine<'_>,
     profile: EdgeProfile,
     pkey: ProfileKey,
-) -> Result<(StructState, Retired), DriverError> {
+) -> Result<(StructState, FunctionReport), DriverError> {
     let weights = allocation_weights(source_func, &profile);
     let cold = cold_pipeline(fid, source_func, engine, profile, Fold::Memoized)?;
-    let mut outcomes = HashMap::new();
-    outcomes.insert(pkey, (cold.report.clone(), cold.placements.clone()));
     let state = StructState {
-        func_text: cold.func.to_string(),
-        func: cold.func.clone(),
+        func: Arc::new(cold.func),
         spilled_vregs: cold.spilled_vregs,
         weights,
         cache: cold.cache,
         memo: cold.memo,
-        outcomes,
+        outcomes: HashMap::from([(pkey, cold.report.clone())]),
     };
-    Ok((state, (cold.report, (cold.func, cold.placements))))
+    Ok((state, cold.report))
 }
 
 /// Re-establishes one function's placement after a profile drift that
 /// left its allocation unchanged: computes the [`ProfileDelta`] from
 /// the structure's base profile, re-folds only the dirtied PST regions,
-/// and rebases the structure on the new profile.
+/// and rebases the structure on the new profile. The allocated function
+/// is `st.func`, unchanged.
 fn refold_incremental(
     fid: FuncId,
     st: &mut StructState,
     engine: &Engine<'_>,
     profile: EdgeProfile,
     arena: &AnalysisArena,
-) -> Result<Retired, DriverError> {
+) -> Result<FunctionReport, DriverError> {
     let delta = ProfileDelta::between(&st.cache.profile, &profile);
     let mut report = report_shell(fid, &st.func, &st.cache, st.spilled_vregs);
-    let placements = match st.memo.as_mut() {
+    match st.memo.as_mut() {
         Some(memo) => {
             let inputs = SuiteInputs::analyzed(
                 &st.cache.usage,
@@ -1928,17 +2014,14 @@ fn refold_incremental(
             )
             .map_err(|e| suite_error(&st.func, e))?;
             arena.record_incremental(refolds);
-            fill_report(&mut report, suite, engine.techniques)
+            fill_report(&mut report, suite, engine.techniques);
         }
         // No callee-saved use: the report is profile-independent and
         // there is nothing to re-fold.
-        None => {
-            arena.record_incremental(RefoldStats::default());
-            Vec::new()
-        }
-    };
+        None => arena.record_incremental(RefoldStats::default()),
+    }
     st.cache.profile = profile;
-    Ok((report, (st.func.clone(), placements)))
+    Ok(report)
 }
 
 /// Maps a core suite technique label to the reporting strategy name.
@@ -1988,20 +2071,15 @@ fn suite_inputs(cache: &AnalysisCache) -> SuiteInputs<'_> {
 }
 
 /// Distills a computed [`PlacementSuite`] into the report's selected
-/// strategies (and the per-strategy placements an applied module run
-/// needs), picking the best by predicted cost.
-fn fill_report(
-    report: &mut FunctionReport,
-    suite: PlacementSuite,
-    techniques: TechniqueSet,
-) -> Vec<(Strategy, Placement)> {
+/// strategies, each with its placement (which is all an applied module
+/// run needs), picking the best by predicted cost.
+fn fill_report(report: &mut FunctionReport, suite: PlacementSuite, techniques: TechniqueSet) {
     let entries = [
         (Strategy::Baseline, suite.entry_exit),
         (Strategy::Shrinkwrap, suite.chow),
         (Strategy::HierExec, suite.hierarchical_exec.placement),
         (Strategy::HierJump, suite.hierarchical_jump.placement),
     ];
-    let mut placements = Vec::new();
     for ((strategy, placement), cost) in entries.into_iter().zip(suite.predicted) {
         if !techniques.contains(strategy) {
             continue;
@@ -2010,16 +2088,14 @@ fn fill_report(
             strategy,
             cost,
             static_count: placement.static_count(),
-            placement: placement.clone(),
+            placement,
         });
-        placements.push((strategy, placement));
     }
     report.best = report
         .strategies
         .iter()
         .min_by_key(|s| s.cost)
         .map(|s| s.strategy);
-    placements
 }
 
 /// Converts a placement-validity failure into the driver's structured
@@ -2041,6 +2117,7 @@ fn suite_error(func: &Function, e: SuiteError) -> DriverError {
 mod tests {
     use super::*;
     use spillopt_benchgen::{benchmark_by_name, build_bench};
+    use spillopt_ir::{Inst, InstKind, Origin};
     use spillopt_sync::atomic::AtomicUsize;
 
     fn mcf() -> (Module, Vec<(FuncId, Vec<i64>)>, Target) {
@@ -2252,6 +2329,116 @@ mod tests {
             TechniqueSet::BASELINE
         );
     }
+
+    /// A two-block function touching every field the structural key
+    /// hashes.
+    fn keyed(name: &str) -> Function {
+        let mut f = Function::new(name);
+        f.set_num_params(1);
+        f.frame_mut().alloc_slot();
+        let v = f.new_vreg();
+        let a = f.add_block(Some("A"));
+        let b = f.add_block(Some("B"));
+        let dst = Reg::Virt(v);
+        f.block_mut(a).insts = vec![
+            Inst::new(InstKind::LoadImm { dst, imm: 3 }),
+            Inst::new(InstKind::Jump { target: b }),
+        ];
+        f.block_mut(b).insts = vec![Inst::new(InstKind::Return { value: Some(dst) })];
+        f
+    }
+
+    #[test]
+    fn func_key_hash_changes_under_every_single_field_mutation() {
+        let base = keyed("f");
+        let entry = base.entry();
+        let mutations: Vec<(&str, Function)> = vec![
+            ("name", keyed("g")),
+            ("params", {
+                let mut f = keyed("f");
+                f.set_num_params(2);
+                f
+            }),
+            ("frame slots", {
+                let mut f = keyed("f");
+                f.frame_mut().alloc_slot();
+                f
+            }),
+            ("vreg count", {
+                let mut f = keyed("f");
+                f.new_vreg();
+                f
+            }),
+            ("layout order", {
+                let mut f = keyed("f");
+                let reversed = f.layout().iter().rev().copied().collect();
+                f.set_layout(reversed);
+                f
+            }),
+            ("block name", {
+                let mut f = keyed("f");
+                f.block_mut(entry).name = Some("Z".to_string());
+                f
+            }),
+            ("instruction operand", {
+                let mut f = keyed("f");
+                let InstKind::LoadImm { imm, .. } = &mut f.block_mut(entry).insts[0].kind else {
+                    unreachable!("the entry block starts with `li`")
+                };
+                *imm = 4;
+                f
+            }),
+            ("origin", {
+                let mut f = keyed("f");
+                f.block_mut(entry).insts[0].origin = Origin::Spill;
+                f
+            }),
+        ];
+        let arena: Arena<u32> = Arena::new(0);
+        let hash = arena.key(&base).hash;
+        assert_eq!(
+            hash,
+            arena.key(&keyed("f")).hash,
+            "the hash is deterministic"
+        );
+        for (field, mutated) in &mutations {
+            assert_ne!(
+                *mutated, base,
+                "{field}: the mutation must change the function"
+            );
+            assert_ne!(arena.key(mutated).hash, hash, "{field}: hash unchanged");
+        }
+    }
+
+    /// Two unequal functions forced onto one hash get one state each,
+    /// and one's failures never purge or quarantine the other.
+    #[test]
+    fn colliding_keys_keep_separate_states_and_quarantines() {
+        let (f, g) = (keyed("f"), keyed("g"));
+        let kf = FuncKey { hash: 7, func: &f };
+        let kg = FuncKey { hash: 7, func: &g };
+        let arena: Arena<u32> = Arena::new(0);
+        arena.insert_structure(&kf, 1);
+        assert!(arena.structure(&kg).is_none(), "a collision must miss");
+        arena.insert_structure(&kg, 2);
+        assert_eq!(arena.stats().entries, 2);
+        assert_eq!(*arena.structure(&kf).unwrap().lock().unwrap(), 1);
+        assert_eq!(*arena.structure(&kg).unwrap().lock().unwrap(), 2);
+
+        arena.record_failure(&kf);
+        arena.record_failure(&kf);
+        assert!(
+            arena.structure(&kf).is_none(),
+            "a failure purges its own key"
+        );
+        assert_eq!(*arena.structure(&kg).unwrap().lock().unwrap(), 2);
+        assert!(!arena.quarantine_skip(&kg), "g inherited f's quarantine");
+        assert!(arena.quarantine_skip(&kf));
+        arena.record_success(&kg);
+        assert!(arena.quarantine_skip(&kf), "g's success cleared f's window");
+        arena.record_success(&kf);
+        assert!(!arena.quarantine_skip(&kf));
+    }
 }
 
 /// Model-checked suites for the arena's concurrency skeleton: the
@@ -2262,6 +2449,7 @@ mod tests {
 #[cfg(all(test, feature = "model"))]
 mod arena_model_tests {
     use super::{Arc, Arena};
+    use spillopt_ir::Function;
     use spillopt_sync::model::{check, ModelOptions};
     use spillopt_sync::thread;
 
@@ -2275,26 +2463,32 @@ mod arena_model_tests {
             let arena: Arc<Arena<u32>> = Arc::new(Arena::new(0));
             let worker = {
                 let arena = Arc::clone(&arena);
-                thread::spawn(move || match arena.structure("f") {
-                    Some(state) => {
-                        arena.record_hit();
-                        *state.lock().unwrap()
-                    }
-                    None => {
-                        arena.record_miss();
-                        arena.insert_structure("f".into(), 7);
-                        7
+                thread::spawn(move || {
+                    let f = Function::new("f");
+                    let key = arena.key(&f);
+                    match arena.structure(&key) {
+                        Some(state) => {
+                            arena.record_hit();
+                            *state.lock().unwrap()
+                        }
+                        None => {
+                            arena.record_miss();
+                            arena.insert_structure(&key, 7);
+                            7
+                        }
                     }
                 })
             };
-            match arena.structure("f") {
+            let f = Function::new("f");
+            let key = arena.key(&f);
+            match arena.structure(&key) {
                 Some(state) => {
                     arena.record_hit();
                     assert_eq!(*state.lock().unwrap(), 7);
                 }
                 None => {
                     arena.record_miss();
-                    arena.insert_structure("f".into(), 7);
+                    arena.insert_structure(&key, 7);
                 }
             }
             assert_eq!(worker.join().unwrap(), 7);
@@ -2320,15 +2514,19 @@ mod arena_model_tests {
             let arena: Arc<Arena<u32>> = Arc::new(Arena::new(1));
             let worker = {
                 let arena = Arc::clone(&arena);
-                thread::spawn(move || arena.insert_structure("a".into(), 1))
+                thread::spawn(move || arena.insert_structure(&arena.key(&Function::new("a")), 1))
             };
-            arena.insert_structure("b".into(), 2);
+            let (a, b) = (Function::new("a"), Function::new("b"));
+            arena.insert_structure(&arena.key(&b), 2);
             worker.join().unwrap();
             let stats = arena.stats();
             assert_eq!(stats.entries, 1, "capacity 1 must hold");
             assert_eq!(stats.evictions, 1, "exactly one insert loses");
             // The survivor is intact and servable.
-            let survivor = ["a", "b"].iter().filter_map(|k| arena.structure(k)).count();
+            let survivor = [&a, &b]
+                .iter()
+                .filter_map(|f| arena.structure(&arena.key(f)))
+                .count();
             assert_eq!(survivor, 1);
         });
         eprintln!("model_capacity_evict_race: {} schedules", report.executions);
@@ -2347,13 +2545,15 @@ mod arena_model_tests {
             let arena: Arc<Arena<u32>> = Arc::new(Arena::new(0));
             let prober = {
                 let arena = Arc::clone(&arena);
-                thread::spawn(move || arena.quarantine_skip("f") as u32)
+                thread::spawn(move || arena.quarantine_skip(&arena.key(&Function::new("f"))) as u32)
             };
-            arena.record_failure("f");
-            arena.record_failure("f");
+            let f = Function::new("f");
+            let key = arena.key(&f);
+            arena.record_failure(&key);
+            arena.record_failure(&key);
             let raced = prober.join().unwrap();
             let mut drained = 0u32;
-            while arena.quarantine_skip("f") {
+            while arena.quarantine_skip(&key) {
                 drained += 1;
             }
             assert_eq!(
@@ -2361,8 +2561,8 @@ mod arena_model_tests {
                 2,
                 "two failures open a window of exactly 2 skips"
             );
-            arena.record_success("f");
-            assert!(!arena.quarantine_skip("f"), "success clears the window");
+            arena.record_success(&key);
+            assert!(!arena.quarantine_skip(&key), "success clears the window");
         });
         eprintln!(
             "model_quarantine_window_is_conserved: {} schedules",
@@ -2378,25 +2578,29 @@ mod arena_model_tests {
     fn model_purge_races_active_use() {
         let report = check(ModelOptions::new(), || {
             let arena: Arc<Arena<u32>> = Arc::new(Arena::new(0));
-            arena.insert_structure("f".into(), 1);
+            let f = Function::new("f");
+            let key = arena.key(&f);
+            arena.insert_structure(&key, 1);
             let user = {
                 let arena = Arc::clone(&arena);
                 thread::spawn(move || {
-                    arena.structure("f").map(|state| {
-                        let mut v = state.lock().unwrap();
-                        *v += 10;
-                        *v
-                    })
+                    arena
+                        .structure(&arena.key(&Function::new("f")))
+                        .map(|state| {
+                            let mut v = state.lock().unwrap();
+                            *v += 10;
+                            *v
+                        })
                 })
             };
-            arena.record_failure("f"); // purges "f"
+            arena.record_failure(&key); // purges `f`
             let seen = user.join().unwrap();
             assert!(
                 seen.is_none() || seen == Some(11),
                 "a racing user sees the entry fully or not at all: {seen:?}"
             );
             assert!(
-                arena.structure("f").is_none(),
+                arena.structure(&key).is_none(),
                 "the purge must win against later lookups"
             );
         });

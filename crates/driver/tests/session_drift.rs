@@ -11,11 +11,12 @@
 
 use spillopt_benchgen::{benchmark_by_name, build_bench};
 use spillopt_driver::{FunctionReport, OptimizerBuilder, ProfileSource, Provenance, Session};
-use spillopt_ir::{Cfg, Module};
+use spillopt_ir::display::block_name;
+use spillopt_ir::{verify_function, BlockId, Cfg, Function, InstKind, Module, RegDiscipline};
 use spillopt_profile::EdgeProfile;
 use spillopt_stress::gen_case;
 use spillopt_sync::Mutex;
-use spillopt_targets::{registry, TargetSpec};
+use spillopt_targets::{pa_risc_like, registry, TargetSpec};
 
 fn warm_session(spec: &TargetSpec) -> Session {
     OptimizerBuilder::new()
@@ -239,4 +240,66 @@ fn bounded_arena_evicts_lru_structures() {
         first.report.to_json().to_compact(),
         second.report.to_json().to_compact()
     );
+}
+
+/// A copy of `func` with every block id reversed, each block named by
+/// its original display name: the copy prints exactly like `func` but
+/// is a different function (block ids are what placements name).
+fn renumbered(func: &Function) -> Function {
+    let n = func.num_blocks();
+    let flip = |b: BlockId| BlockId::from_index(n - 1 - b.index());
+    let mut out = Function::new(func.name());
+    out.set_num_params(func.num_params());
+    out.frame_mut().reserve_slots(func.frame().num_slots());
+    out.reserve_vregs(func.num_vregs());
+    for new in 0..n {
+        out.add_block(Some(&block_name(func, flip(BlockId::from_index(new)))));
+    }
+    for old in func.block_ids() {
+        let mut insts = func.block(old).insts.clone();
+        for inst in &mut insts {
+            match &mut inst.kind {
+                InstKind::Jump { target } => *target = flip(*target),
+                InstKind::Branch {
+                    taken, fallthrough, ..
+                } => {
+                    *taken = flip(*taken);
+                    *fallthrough = flip(*fallthrough);
+                }
+                _ => {}
+            }
+        }
+        out.block_mut(flip(old)).insts = insts;
+    }
+    out.set_layout(func.layout().iter().map(|&b| flip(b)).collect());
+    out
+}
+
+/// The arena must tell apart functions that print alike but number
+/// their blocks differently: a warm session that has seen the original
+/// must answer the renumbered copy exactly as a fresh session does, not
+/// with the original's placements at the original's block ids.
+#[test]
+fn same_text_with_different_block_numbering_is_a_different_function() {
+    let spec = pa_risc_like();
+    for seed in 0..40u64 {
+        let module = gen_case(&spec.to_target(), seed).module;
+        let mut copy = Module::new(module.name());
+        for (_, func) in module.funcs() {
+            let flipped = renumbered(func);
+            assert_eq!(flipped.to_string(), func.to_string(), "seed {seed}");
+            let errors = verify_function(&flipped, RegDiscipline::Virtual);
+            assert!(errors.is_empty(), "seed {seed}: {errors:?}");
+            copy.add_func(flipped);
+        }
+        let session = warm_session(&spec);
+        session.optimize(&module).expect("original");
+        let warm = session.optimize(&copy).expect("warm copy");
+        let fresh = warm_session(&spec).optimize(&copy).expect("fresh copy");
+        assert_eq!(
+            warm.report.to_json().to_compact(),
+            fresh.report.to_json().to_compact(),
+            "seed {seed}: the warm session served the original's report"
+        );
+    }
 }

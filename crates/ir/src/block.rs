@@ -10,7 +10,7 @@ use crate::inst::Inst;
 /// allow spill code to be inserted on critical fall-through edges without an
 /// extra jump instruction, which the paper's jump-edge cost model depends
 /// on.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
 pub struct Block {
     /// Optional human-readable name (e.g. `A`..`P` in the paper's worked
     /// example). Purely cosmetic.

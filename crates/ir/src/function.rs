@@ -6,7 +6,7 @@ use crate::ids::{BlockId, FrameSlot, VReg};
 /// Description of a function's stack frame: a dense array of word-sized
 /// slots. Slots are allocated monotonically; the interpreter zero-
 /// initializes them.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct FrameInfo {
     num_slots: u32,
 }
@@ -46,7 +46,7 @@ impl FrameInfo {
 ///   layout order;
 /// * a block with no terminator must not be last in layout (it falls
 ///   through).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Function {
     name: String,
     blocks: Vec<Block>,
