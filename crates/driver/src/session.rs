@@ -1409,7 +1409,7 @@ fn module_profiles(
             }
             for (fid, p) in module.func_ids().zip(profiles) {
                 let func = module.func(fid);
-                let edges = spillopt_ir::Cfg::compute(func).num_edges();
+                let edges = spillopt_ir::Cfg::edge_count(func);
                 if p.edge_counts().len() != edges {
                     return Err(DriverError::Config(format!(
                         "profile for function #{} (`{}`) has {} edge count(s) but its CFG has \
@@ -2125,6 +2125,36 @@ mod tests {
         let spec = benchmark_by_name("mcf").expect("known benchmark");
         let bench = build_bench(&spec, &target);
         (bench.module, bench.train_runs, target)
+    }
+
+    #[test]
+    fn edge_count_matches_the_computed_cfg() {
+        let target = Target::default();
+        let mut modules: Vec<Module> = spillopt_benchgen::all_benchmarks()
+            .iter()
+            .map(|spec| build_bench(spec, &target).module)
+            .collect();
+        for spec in registry() {
+            modules.extend(crate::bench::corpus_for(
+                &spec,
+                &crate::bench::BenchConfig::smoke(),
+            ));
+        }
+        let mut functions = 0;
+        for module in &modules {
+            for fid in module.func_ids() {
+                let func = module.func(fid);
+                assert_eq!(
+                    spillopt_ir::Cfg::edge_count(func),
+                    spillopt_ir::Cfg::compute(func).num_edges(),
+                    "`{}` in `{}`",
+                    func.name(),
+                    module.name()
+                );
+                functions += 1;
+            }
+        }
+        assert!(functions > 200, "only {functions} functions checked");
     }
 
     #[test]

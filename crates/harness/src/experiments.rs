@@ -1,13 +1,14 @@
 //! The experiments: one per table and figure of the paper.
 
 use crate::report::{pct, Table};
-use crate::runner::{run_benchmark, BenchResult, PipelineError, Technique};
+use crate::runner::{bench_spec, run_benchmark, BenchResult, PipelineError};
 use spillopt_benchgen::all_benchmarks;
 use spillopt_core::SpillCostModel;
 use spillopt_core::{
     chow_shrink_wrap, entry_exit_placement, fig1_example, hierarchical_placement, paper_example,
     placement_model_cost, CostModel, EdgeShares,
 };
+use spillopt_driver::Strategy;
 use spillopt_ir::Target;
 use spillopt_pst::Pst;
 
@@ -66,10 +67,7 @@ pub fn run_all_benchmarks(target: &Target) -> Result<Vec<BenchResult>, PipelineE
 ///
 /// Propagates the first pipeline failure.
 pub fn cross_target(name: &str) -> Result<Table, PipelineError> {
-    let spec = spillopt_benchgen::benchmark_by_name(name).ok_or_else(|| PipelineError {
-        bench: name.to_string(),
-        message: "unknown benchmark".to_string(),
-    })?;
+    let spec = bench_spec(name)?;
     let mut t = Table::new(vec![
         "target",
         "callee-saved",
@@ -85,9 +83,9 @@ pub fn cross_target(name: &str) -> Result<Table, PipelineError> {
             tspec.name.to_string(),
             tspec.callee_saved.len().to_string(),
             tspec.costs.pair_size.to_string(),
-            pct(r.ratio(Technique::Optimized)),
-            pct(r.ratio(Technique::Shrinkwrap)),
-            r.of(Technique::Optimized).dynamic_overhead.to_string(),
+            pct(r.ratio(Strategy::HierJump)),
+            pct(r.ratio(Strategy::Shrinkwrap)),
+            r.of(Strategy::HierJump).dynamic_overhead.to_string(),
         ]);
     }
     Ok(t)
@@ -232,13 +230,11 @@ pub fn fig5(results: &[BenchResult]) -> String {
     for r in results {
         t.row(vec![
             r.name.clone(),
-            r.of(Technique::Baseline).dynamic_overhead.to_string(),
-            r.of(Technique::Shrinkwrap).dynamic_overhead.to_string(),
-            r.of(Technique::Optimized).dynamic_overhead.to_string(),
-            r.of(Technique::OptimizedExecModel)
-                .dynamic_overhead
-                .to_string(),
-            r.of(Technique::Optimized).jump_overhead.to_string(),
+            r.of(Strategy::Baseline).dynamic_overhead.to_string(),
+            r.of(Strategy::Shrinkwrap).dynamic_overhead.to_string(),
+            r.of(Strategy::HierJump).dynamic_overhead.to_string(),
+            r.of(Strategy::HierExec).dynamic_overhead.to_string(),
+            r.of(Strategy::HierJump).jump_overhead.to_string(),
         ]);
     }
     format!(
@@ -267,8 +263,8 @@ pub fn table1(results: &[BenchResult]) -> String {
             .find(|(n, _, _)| *n == r.name)
             .copied()
             .unwrap_or((/*name*/ "", f64::NAN, f64::NAN));
-        let opt = r.ratio(Technique::Optimized);
-        let sw = r.ratio(Technique::Shrinkwrap);
+        let opt = r.ratio(Strategy::HierJump);
+        let sw = r.ratio(Strategy::Shrinkwrap);
         sum_opt += opt;
         sum_sw += sw;
         t.row(vec![
@@ -307,9 +303,9 @@ pub fn table2(results: &[BenchResult]) -> String {
     let mut sum_ratio = 0.0;
     let mut counted = 0usize;
     for r in results {
-        let base = r.of(Technique::Baseline).pass_time;
-        let sw = r.of(Technique::Shrinkwrap).pass_time.saturating_sub(base);
-        let opt = r.of(Technique::Optimized).pass_time.saturating_sub(base);
+        let base = r.of(Strategy::Baseline).pass_time;
+        let sw = r.of(Strategy::Shrinkwrap).pass_time.saturating_sub(base);
+        let opt = r.of(Strategy::HierJump).pass_time.saturating_sub(base);
         let ratio = if sw.as_nanos() > 0 {
             opt.as_secs_f64() / sw.as_secs_f64()
         } else {
@@ -352,9 +348,9 @@ pub fn table2(results: &[BenchResult]) -> String {
 pub fn guarantee_summary(results: &[BenchResult]) -> String {
     let mut lines = Vec::new();
     for r in results {
-        let base = r.of(Technique::Baseline).dynamic_overhead;
-        let sw = r.of(Technique::Shrinkwrap).dynamic_overhead;
-        let opt = r.of(Technique::Optimized).dynamic_overhead;
+        let base = r.of(Strategy::Baseline).dynamic_overhead;
+        let sw = r.of(Strategy::Shrinkwrap).dynamic_overhead;
+        let opt = r.of(Strategy::HierJump).dynamic_overhead;
         let ok = opt <= base && opt <= sw;
         lines.push(format!(
             "{:>8}: optimized {} ≤ min(baseline {}, shrinkwrap {}) — {}",

@@ -1,59 +1,17 @@
-//! The full experimental pipeline for one benchmark: generate → profile
-//! (train) → allocate → place (each technique) → execute (ref) → measure.
+//! The measured pipeline for one benchmark: generate → optimize through
+//! the driver's `Session` (train-workload profiles, allocation, every
+//! placement technique) → execute each placed module on the ref
+//! workload → measure.
 
-use spillopt_benchgen::{build_bench, BenchSpec, GeneratedBench};
-use spillopt_core::{
-    chow_shrink_wrap_with, entry_exit_placement, hierarchical_placement_vs, insert_placement,
-    CalleeSavedUsage, CostModel, Placement, SpillCostModel,
-};
-use spillopt_ir::analysis::loops::{sccs, CyclicRegion};
-use spillopt_ir::{Cfg, FuncId, Module, RegDiscipline, Target};
-use spillopt_profile::{EdgeProfile, ExecCounts, Machine};
-use spillopt_pst::Pst;
-use spillopt_regalloc::allocate;
-use std::time::{Duration, Instant};
+use spillopt_benchgen::{build_bench, BenchSpec};
+use spillopt_core::SpillCostModel;
+use spillopt_driver::{OptimizerBuilder, ProfileSource, Strategy};
+use spillopt_ir::{FuncId, Module, Target};
+use spillopt_obs::{MetricsSnapshot, Recording};
+use spillopt_profile::{ExecCounts, Machine};
+use std::time::Duration;
 
-/// The placement techniques compared by the paper's evaluation, plus the
-/// execution-count-model ablation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Technique {
-    /// Save at entry, restore at exits (the paper's *Baseline*).
-    Baseline,
-    /// Chow's shrink-wrapping (the paper's *Shrinkwrap*).
-    Shrinkwrap,
-    /// Hierarchical placement, jump-edge cost model (the paper's
-    /// *Optimized*).
-    Optimized,
-    /// Hierarchical placement, execution-count cost model (ablation; the
-    /// paper does not evaluate it because spill code on jump edges is not
-    /// executable without jump blocks — we insert the jump blocks and
-    /// measure what the model ignored).
-    OptimizedExecModel,
-}
-
-impl Technique {
-    /// All techniques, in reporting order.
-    pub fn all() -> [Technique; 4] {
-        [
-            Technique::Baseline,
-            Technique::Shrinkwrap,
-            Technique::Optimized,
-            Technique::OptimizedExecModel,
-        ]
-    }
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Technique::Baseline => "baseline",
-            Technique::Shrinkwrap => "shrinkwrap",
-            Technique::Optimized => "optimized",
-            Technique::OptimizedExecModel => "optimized-exec",
-        }
-    }
-}
-
-/// Measured outcome of one technique on one benchmark.
+/// Measured outcome of one strategy on one benchmark.
 #[derive(Clone, Debug, Default)]
 pub struct TechniqueResult {
     /// Dynamic spill-code overhead (the paper's Figure 5 metric: executed
@@ -66,18 +24,20 @@ pub struct TechniqueResult {
     pub jump_overhead: u64,
     /// Static save/restore instructions placed.
     pub static_count: usize,
-    /// Placement pass time (placement computation only, summed over
-    /// functions).
+    /// Placement pass time: the recorder's span totals for the
+    /// strategy's placement phases, summed over functions
+    /// (`place_entry_exit`; `place_chow`; `place_hier_seed` plus
+    /// `place_hier_exec` or `place_hier_jump`).
     pub pass_time: Duration,
 }
 
-/// Measured outcome of one benchmark across all techniques.
+/// Measured outcome of one benchmark across all strategies.
 #[derive(Clone, Debug)]
 pub struct BenchResult {
     /// Benchmark name.
     pub name: String,
-    /// Results per technique (indexed via [`Technique::all`] order).
-    pub techniques: Vec<(Technique, TechniqueResult)>,
+    /// Results per strategy, in [`Strategy::all`] order.
+    pub techniques: Vec<(Strategy, TechniqueResult)>,
     /// Functions that used at least one callee-saved register.
     pub funcs_with_callee_saved: usize,
     /// Total functions.
@@ -90,32 +50,32 @@ pub struct BenchResult {
 }
 
 impl BenchResult {
-    /// Result of one technique.
-    pub fn of(&self, t: Technique) -> &TechniqueResult {
+    /// Result of one strategy.
+    pub fn of(&self, s: Strategy) -> &TechniqueResult {
         &self
             .techniques
             .iter()
-            .find(|(x, _)| *x == t)
-            .expect("technique present")
+            .find(|(x, _)| *x == s)
+            .expect("strategy present")
             .1
     }
 
-    /// The paper's Table 1 ratio: technique overhead / baseline overhead
+    /// The paper's Table 1 ratio: strategy overhead / baseline overhead
     /// (1.0 when the baseline overhead is zero — no callee-saved use, as
     /// in mcf).
-    pub fn ratio(&self, t: Technique) -> f64 {
-        let base = self.of(Technique::Baseline).dynamic_overhead;
+    pub fn ratio(&self, s: Strategy) -> f64 {
+        let base = self.of(Strategy::Baseline).dynamic_overhead;
         if base == 0 {
             1.0
         } else {
-            self.of(t).dynamic_overhead as f64 / base as f64
+            self.of(s).dynamic_overhead as f64 / base as f64
         }
     }
 }
 
-/// Errors from the pipeline (all indicate bugs, not input conditions; the
-/// harness surfaces them instead of panicking so the repro binary can
-/// report which benchmark failed).
+/// Errors from the pipeline: an unknown benchmark name, or a failure
+/// that indicates a bug (the harness surfaces them instead of panicking
+/// so the repro binary can report which benchmark failed).
 #[derive(Debug)]
 pub struct PipelineError {
     /// Benchmark name.
@@ -132,19 +92,35 @@ impl std::fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
-/// Runs the full measured pipeline for one benchmark spec, with the
-/// hierarchical placement decisions priced by `costs` (the measured
-/// overheads stay what the interpreter counts — only the placement
-/// choices change; [`SpillCostModel::UNIT`] reproduces the paper's
-/// PA-RISC accounting).
+/// The recorder spans that make up each strategy's placement pass time.
+/// The hierarchical strategies share their Chow baseline with
+/// `Shrinkwrap`, so their time is the seed plus their own fold.
+fn placement_spans(strategy: Strategy) -> &'static [&'static str] {
+    match strategy {
+        Strategy::Baseline => &["place_entry_exit"],
+        Strategy::Shrinkwrap => &["place_chow"],
+        Strategy::HierExec => &["place_hier_seed", "place_hier_exec"],
+        Strategy::HierJump => &["place_hier_seed", "place_hier_jump"],
+    }
+}
+
+/// Runs the measured pipeline for one benchmark spec, with the
+/// placement decisions priced by `costs` (the measured overheads stay
+/// what the interpreter counts — only the placement choices change;
+/// [`SpillCostModel::UNIT`] reproduces the paper's PA-RISC accounting).
 ///
-/// This is the harness's one entry point — the measured counterpart of
-/// the driver's `Session` facade (which predicts costs; this executes
-/// the placed module on the interpreter and counts).
+/// The module is optimized once by a serial, arena-off driver `Session`
+/// profiled by the train workload; each strategy's placed module
+/// (`ModuleRun::apply`) then runs the ref workload on the interpreter,
+/// which must reproduce the virtual module's outputs. Pass times come
+/// from a [`Recording`] around the `optimize` call. The recorder is
+/// process-wide and exclusive: pipelines running concurrently in the
+/// same process add to the times, and a call made while this thread
+/// holds another `Recording` never returns.
 ///
 /// # Errors
 ///
-/// Returns [`PipelineError`] if any stage fails or any technique changes
+/// Returns [`PipelineError`] if any stage fails or any strategy changes
 /// program behaviour.
 pub fn run_benchmark(
     spec: &BenchSpec,
@@ -157,110 +133,48 @@ pub fn run_benchmark(
         message,
     };
 
-    // --- Train run: profiles on the virtual module. ---
-    let mut vm = Machine::new(&bench.module, target);
-    vm.set_fuel(1 << 30);
-    for (f, args) in &bench.train_runs {
-        vm.call(*f, args)
-            .map_err(|e| fail(format!("train run failed: {e}")))?;
-    }
-    let train_profiles: Vec<EdgeProfile> = bench
-        .module
-        .func_ids()
-        .map(|f| vm.edge_profile(f))
-        .collect();
-
     // --- Reference (ref) outputs on the virtual module. ---
     let reference = execute(&bench.module, target, &bench.ref_runs)
         .map_err(|e| fail(format!("ref run failed: {e}")))?;
 
-    // --- Register allocation (shared by all techniques). ---
-    let mut alloc_module = bench.module.clone();
-    for f in bench.module.func_ids() {
-        allocate(
-            alloc_module.func_mut(f),
-            target,
-            Some(&train_profiles[f.index()]),
-        );
-        let errs = spillopt_ir::verify_function(alloc_module.func(f), RegDiscipline::Physical);
-        if !errs.is_empty() {
-            return Err(fail(format!("post-RA verification failed: {errs:?}")));
-        }
-    }
-
-    // Per-function placement inputs. The CFG-derived analyses (SCCs for
-    // Chow's artificial loop flow, the PST for the hierarchical passes)
-    // are computed once per function here and borrowed by every
-    // technique below, mirroring the module driver's shared
-    // `AnalysisCache`.
-    let cfgs: Vec<Cfg> = alloc_module
-        .func_ids()
-        .map(|f| Cfg::compute(alloc_module.func(f)))
-        .collect();
-    let usages: Vec<CalleeSavedUsage> = alloc_module
-        .func_ids()
-        .map(|f| CalleeSavedUsage::from_function(alloc_module.func(f), &cfgs[f.index()], target))
-        .collect();
-    let analyses: Vec<Option<(Vec<CyclicRegion>, Pst)>> = alloc_module
-        .func_ids()
-        .map(|f| {
-            let i = f.index();
-            if usages[i].is_empty() {
-                None
-            } else {
-                Some((sccs(&cfgs[i]), Pst::compute(&cfgs[i])))
-            }
-        })
-        .collect();
-    let funcs_with_callee_saved = usages.iter().filter(|u| !u.is_empty()).count();
-    let module_insts = alloc_module.num_insts();
+    let session = OptimizerBuilder::new()
+        .target(target.clone())
+        .cost_model(*costs)
+        .profile(ProfileSource::Workload(bench.train_runs.clone()))
+        .threads(1)
+        .reuse_analyses(false)
+        .build()
+        .map_err(|e| fail(e.to_string()))?;
+    let recording = Recording::start();
+    let run = session.optimize(&bench.module);
+    let metrics = recording.finish().metrics();
+    let run = run.map_err(|e| fail(e.to_string()))?;
+    let report = &run.report;
 
     let mut techniques = Vec::new();
-    for technique in Technique::all() {
-        let mut placed = alloc_module.clone();
-        let mut static_count = 0usize;
-        let mut pass_time = Duration::ZERO;
-        for f in bench.module.func_ids() {
-            let cfg = &cfgs[f.index()];
-            let usage = &usages[f.index()];
-            if usage.is_empty() {
-                continue;
-            }
-            let profile = &train_profiles[f.index()];
-            let (cyclic, pst) = analyses[f.index()]
-                .as_ref()
-                .expect("analyses for used func");
-            let (placement, elapsed) =
-                time_placement(technique, cfg, cyclic, pst, usage, profile, costs);
-            pass_time += elapsed;
-            let errs = spillopt_core::check_placement(cfg, usage, &placement);
-            if !errs.is_empty() {
-                return Err(fail(format!(
-                    "{}: invalid placement in {}: {errs:?}",
-                    technique.name(),
-                    placed.func(f).name()
-                )));
-            }
-            static_count += placement.static_count();
-            insert_placement(placed.func_mut(f), cfg, &placement);
-        }
-
+    for strategy in Strategy::all() {
+        let placed = run.apply(Some(strategy));
         let (outputs, counts) = execute_counted(&placed, target, &bench.ref_runs)
-            .map_err(|e| fail(format!("{}: execution failed: {e}", technique.name())))?;
+            .map_err(|e| fail(format!("{}: execution failed: {e}", strategy.name())))?;
         if outputs != reference {
             return Err(fail(format!(
                 "{}: program behaviour changed",
-                technique.name()
+                strategy.name()
             )));
         }
         techniques.push((
-            technique,
+            strategy,
             TechniqueResult {
                 dynamic_overhead: counts.spill_code_overhead() * bench.scale,
                 callee_saved_overhead: counts.callee_save_overhead() * bench.scale,
                 jump_overhead: counts.jump_block_jumps * bench.scale,
-                static_count,
-                pass_time,
+                static_count: report
+                    .functions
+                    .iter()
+                    .filter_map(|f| f.strategy(strategy))
+                    .map(|s| s.static_count)
+                    .sum(),
+                pass_time: span_total(&metrics, placement_spans(strategy)),
             },
         ));
     }
@@ -268,66 +182,22 @@ pub fn run_benchmark(
     Ok(BenchResult {
         name: bench.name.clone(),
         techniques,
-        funcs_with_callee_saved,
+        funcs_with_callee_saved: report.placed_functions(),
         funcs: bench.module.num_funcs(),
-        module_insts,
+        module_insts: report.functions.iter().map(|f| f.insts).sum(),
         scale: bench.scale,
     })
 }
 
-/// Times the placement computation proper. The analyses (`cyclic`, `pst`)
-/// are shared across techniques and amortized outside the timed section:
-/// the reported pass time is the paper's *incremental* cost of choosing a
-/// technique, given analyses the compiler needs anyway.
-fn time_placement(
-    technique: Technique,
-    cfg: &Cfg,
-    cyclic: &[CyclicRegion],
-    pst: &Pst,
-    usage: &CalleeSavedUsage,
-    profile: &EdgeProfile,
-    costs: &SpillCostModel,
-) -> (Placement, Duration) {
-    // The hierarchical variants end with a never-worse comparison
-    // against shrink-wrapping; that baseline is computed *outside* the
-    // timed section (a real compiler pipeline has it anyway, and the
-    // reported time stays the incremental cost of the technique).
-    let chow = match technique {
-        Technique::Optimized | Technique::OptimizedExecModel => {
-            Some(chow_shrink_wrap_with(cfg, cyclic, usage))
-        }
-        _ => None,
-    };
-    let start = Instant::now();
-    let placement = match technique {
-        Technique::Baseline => entry_exit_placement(cfg, usage),
-        Technique::Shrinkwrap => chow_shrink_wrap_with(cfg, cyclic, usage),
-        Technique::Optimized => {
-            hierarchical_placement_vs(
-                cfg,
-                pst,
-                usage,
-                profile,
-                CostModel::JumpEdge,
-                costs,
-                chow.as_ref().expect("computed above"),
-            )
-            .placement
-        }
-        Technique::OptimizedExecModel => {
-            hierarchical_placement_vs(
-                cfg,
-                pst,
-                usage,
-                profile,
-                CostModel::ExecutionCount,
-                costs,
-                chow.as_ref().expect("computed above"),
-            )
-            .placement
-        }
-    };
-    (placement, start.elapsed())
+/// Total recorded time of the named spans.
+fn span_total(metrics: &MetricsSnapshot, spans: &[&str]) -> Duration {
+    let ns = metrics
+        .phases
+        .iter()
+        .filter(|p| spans.contains(&p.name))
+        .map(|p| p.total_ns)
+        .sum();
+    Duration::from_nanos(ns)
 }
 
 /// Executes a workload and returns the outputs.
@@ -354,35 +224,21 @@ pub fn execute_counted(
     Ok((out, m.counts().clone()))
 }
 
-/// Profiles a workload per function (used by examples and benches).
-pub fn profile_workload(
-    module: &Module,
-    target: &Target,
-    runs: &[(FuncId, Vec<i64>)],
-) -> Result<Vec<EdgeProfile>, spillopt_profile::ExecError> {
-    let mut m = Machine::new(module, target);
-    m.set_fuel(1 << 30);
-    for (f, args) in runs {
-        m.call(*f, args)?;
-    }
-    Ok(module.func_ids().map(|f| m.edge_profile(f)).collect())
-}
-
 /// Convenience: generate and run one named benchmark under the paper's
 /// unit cost model.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on unknown benchmark names.
+/// Returns [`PipelineError`] for an unknown benchmark name, or as
+/// [`run_benchmark`] does.
 pub fn run_named_benchmark(name: &str, target: &Target) -> Result<BenchResult, PipelineError> {
-    let spec = spillopt_benchgen::benchmark_by_name(name)
-        .unwrap_or_else(|| panic!("unknown benchmark `{name}`"));
-    run_benchmark(&spec, target, &SpillCostModel::UNIT)
+    run_benchmark(&bench_spec(name)?, target, &SpillCostModel::UNIT)
 }
 
-/// Returns a generated benchmark for external tooling (benches).
-pub fn generated(name: &str, target: &Target) -> GeneratedBench {
-    let spec = spillopt_benchgen::benchmark_by_name(name)
-        .unwrap_or_else(|| panic!("unknown benchmark `{name}`"));
-    build_bench(&spec, target)
+/// The named benchmark's spec.
+pub(crate) fn bench_spec(name: &str) -> Result<BenchSpec, PipelineError> {
+    spillopt_benchgen::benchmark_by_name(name).ok_or_else(|| PipelineError {
+        bench: name.to_string(),
+        message: "unknown benchmark".to_string(),
+    })
 }

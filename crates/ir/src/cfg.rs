@@ -130,6 +130,19 @@ impl Cfg {
         }
     }
 
+    /// The number of edges [`Cfg::compute`] would give `func`, counted
+    /// from the terminators alone (a jump 1, a branch 2, a return 0, a
+    /// fall-through 1) without building the graph.
+    pub fn edge_count(func: &Function) -> usize {
+        func.block_ids()
+            .map(|b| match func.block(b).terminator().map(|t| &t.kind) {
+                Some(InstKind::Branch { .. }) => 2,
+                Some(InstKind::Return { .. }) => 0,
+                _ => 1,
+            })
+            .sum()
+    }
+
     /// Returns the entry block.
     pub fn entry(&self) -> BlockId {
         self.entry
